@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness check clean
+.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness check loc clean
 
 all: build
 
@@ -67,10 +67,10 @@ fleet-smoke:
 	SPECTR_JOBS=4 dune exec bench/main.exe -- fleet --smoke > /tmp/spectr-fleet-j4.txt
 	diff /tmp/spectr-fleet-j1.txt /tmp/spectr-fleet-j4.txt
 
-# Parallel-synthesis smoke: the sharded supcon engine is pinned
-# byte-identical to the sequential path (digest + stats gates inside the
-# bench), and the whole smoke output must not depend on SPECTR_JOBS.
-# Includes one mid-size modular row under a wall-clock budget.
+# Parallel-synthesis smoke: the synthesis engine is deterministic in its
+# job count (jobs=1 vs jobs=4 digest + stats gates inside the bench), and
+# the whole smoke output must not depend on SPECTR_JOBS.  Includes one
+# mid-size modular row under a wall-clock budget.
 synth-smoke:
 	SPECTR_JOBS=1 dune exec bench/main.exe -- synthesis-scale --smoke > /tmp/spectr-synth-j1.txt
 	SPECTR_JOBS=4 dune exec bench/main.exe -- synthesis-scale --smoke > /tmp/spectr-synth-j4.txt
@@ -135,6 +135,11 @@ reconfig-smoke:
 
 # What CI runs.
 check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke
+
+# Line total of the library sources (lib/**/*.ml and *.mli) — the
+# figure CHANGES.md records before and after each change.
+loc:
+	@find lib \( -name '*.ml' -o -name '*.mli' \) -print0 | xargs -0 cat | wc -l
 
 clean:
 	dune clean

@@ -26,8 +26,6 @@ module Pool = Spectr_exec.Pool
 
 let smoke = ref false
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
 let spec ~nodes ~epochs ~ticks ~policy =
   {
     F.nodes;
@@ -116,9 +114,9 @@ let scale_section () =
     (Printf.sprintf "scale: %d nodes x %d ticks (%d epochs)" nodes
        (epochs * ticks) epochs);
   let s = spec ~nodes ~epochs ~ticks ~policy:Coordinator.Water_filling in
-  let t0 = now_s () in
+  let t0 = Util.now_s () in
   let r = F.run s in
-  let dt_s = now_s () -. t0 in
+  let dt_s = Util.now_s () -. t0 in
   Printf.printf "  %-14s %8s %8s %8s %13s %7s %10s  %s\n" "policy" "cap W"
     "peak W" "mean W" "violations" "qos" "debt s" "digest";
   print_row "waterfill" s.F.global_cap r;

@@ -21,8 +21,6 @@ open Spectr_platform
 
 let smoke = ref false
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
 let digest_of_trace tr = Digest.to_hex (Digest.string (Trace.to_csv tr))
 
 (* Bytes allocated per iteration of [f], after [f] has already been run
@@ -36,9 +34,9 @@ let bytes_per_iter iters f =
   (b1 -. b0) /. float_of_int iters
 
 let seconds_per_iter iters f =
-  let t0 = now_s () in
+  let t0 = Util.now_s () in
   f iters;
-  let t1 = now_s () in
+  let t1 = Util.now_s () in
   (t1 -. t0) /. float_of_int iters
 
 let gate_alloc name per_iter =
@@ -125,11 +123,11 @@ let one_shot_section () =
   ignore (run_config cfg mgr : Trace.t);
   let reps = if !smoke then 1 else 20 in
   let b0 = Gc.allocated_bytes () in
-  let t0 = now_s () in
+  let t0 = Util.now_s () in
   for _ = 1 to reps do
     ignore (run_config cfg mgr : Trace.t)
   done;
-  let dt = now_s () -. t0 in
+  let dt = Util.now_s () -. t0 in
   let bytes = Gc.allocated_bytes () -. b0 in
   let total = float_of_int (reps * ticks) in
   if !smoke then Printf.printf "  %d ticks/run  (timings suppressed)\n" ticks
@@ -198,9 +196,9 @@ let batch_section one_shot_rate =
     (* Warm every domain's slot (and the shared design cache) before
        the timed sweep. *)
     Spectr_exec.Parmap.iter run_cell (List.init jobs (fun i -> i));
-    let t0 = now_s () in
+    let t0 = Util.now_s () in
     Spectr_exec.Parmap.iter run_cell (List.init cells (fun i -> i));
-    let dt = now_s () -. t0 in
+    let dt = Util.now_s () -. t0 in
     let warm_rate = float_of_int (cells * ticks) /. dt in
     Printf.printf
       "  warm arena:    %4d cells x %d ticks on %d job%s: %8.0f ticks/s \
@@ -220,12 +218,12 @@ let batch_section one_shot_rate =
     let ident_little =
       Spectr.Design_flow.identify Spectr.Design_flow.Little_2x2
     in
-    let t0 = now_s () in
+    let t0 = Util.now_s () in
     ignore (Spectr.Design_flow.design_gains ident_big goals);
     ignore (Spectr.Design_flow.design_gains ident_little goals);
     let mgr, _sup = Spectr.Spectr_manager.make () in
     ignore (run_config cfg mgr : Trace.t);
-    let cold_dt = now_s () -. t0 in
+    let cold_dt = Util.now_s () -. t0 in
     let cold_rate = float_of_int ticks /. cold_dt in
     Printf.printf
       "  pre-refactor:  fresh managers, uncached gain design: %.0f ms/cell \

@@ -8,6 +8,17 @@
    depend on execution order) and never touch shared mutable state, so
    tables and traces are byte-identical for any SPECTR_JOBS value. *)
 
+(* Wall-clock seconds from the monotonic clock — never [Sys.time], which
+   is process CPU time summed over every domain and so turns a parallel
+   speedup into an apparent slowdown. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
+(* [f ()] and its wall-clock duration in seconds. *)
+let timed f =
+  let t0 = now_s () in
+  let r = f () in
+  (r, now_s () -. t0)
+
 let heading title =
   Printf.printf "\n=============================================================\n";
   Printf.printf "%s\n" title;

@@ -1,16 +1,36 @@
 type transition = { src : string; event : Event.t; dst : string }
 
+(* A value computed on first use, possibly by several domains at once:
+   cached supervisors are shared across pool workers, and a [Lazy.t]
+   forced by a second domain mid-evaluation raises
+   [CamlinternalLazy.Undefined].  The value is published by
+   compare-and-set instead; a domain that loses the race has run the
+   (pure) thunk too and adopts the published value.  Publishing drops
+   the thunk, which for an algorithm output holds its inputs alive. *)
+type 'a memo_state = Thunk of (unit -> 'a) | Value of 'a
+type 'a memo = 'a memo_state Atomic.t
+
+let memo compute : _ memo = Atomic.make (Thunk compute)
+
+let force (m : _ memo) =
+  match Atomic.get m with
+  | Value v -> v
+  | Thunk compute as pending -> (
+      let v = compute () in
+      if Atomic.compare_and_set m pending (Value v) then v
+      else match Atomic.get m with Value w -> w | Thunk _ -> v)
+
 (* Index-native core: δ is CSR — [row] holds per-state offsets into the
    parallel [ev]/[dst] arrays, each row sorted by event id so a lookup is
    a binary search with zero hashing.  Names are a boundary concern:
-   [names] (and the name→index table derived from it) is lazy, so
-   algorithm outputs built with [of_indexed] never materialize names
-   unless a name-based accessor is actually used. *)
+   [names] (and the name→index table derived from it) is a memo, so
+   algorithm outputs built with [of_indexed_arrays] never materialize
+   names unless a name-based accessor is actually used. *)
 type t = {
   name : string;
   n : int;
-  names : string array Lazy.t;
-  index : (string, int) Hashtbl.t Lazy.t;
+  names : string array memo;
+  index : (string, int) Hashtbl.t memo;
   alphabet : Event.Set.t;
   decode : (int, Event.t) Hashtbl.t; (* alphabet events keyed by id *)
   row : int array; (* length n+1 *)
@@ -26,12 +46,12 @@ let name a = a.name
 let alphabet a = a.alphabet
 let num_states a = a.n
 let num_transitions a = Array.length a.ev
-let states a = Array.to_list (Lazy.force a.names)
-let initial a = (Lazy.force a.names).(a.initial)
+let states a = Array.to_list (force a.names)
+let initial a = (force a.names).(a.initial)
 let initial_index a = a.initial
 
 let index_of_state a s =
-  match Hashtbl.find_opt (Lazy.force a.index) s with
+  match Hashtbl.find_opt (force a.index) s with
   | Some i -> i
   | None ->
       invalid_arg (Printf.sprintf "Automaton %s: unknown state %S" a.name s)
@@ -39,9 +59,9 @@ let index_of_state a s =
 let state_of_index a i =
   if i < 0 || i >= a.n then
     invalid_arg (Printf.sprintf "Automaton %s: index %d out of range" a.name i);
-  (Lazy.force a.names).(i)
+  (force a.names).(i)
 
-let mem_state a s = Hashtbl.mem (Lazy.force a.index) s
+let mem_state a s = Hashtbl.mem (force a.index) s
 let is_marked_index a i = a.marked.(i)
 let is_forbidden_index a i = a.forbidden.(i)
 let is_marked a s = a.marked.(index_of_state a s)
@@ -104,7 +124,7 @@ let fold_transitions f a acc =
   !acc
 
 let transitions a =
-  let names = Lazy.force a.names in
+  let names = force a.names in
   List.rev
     (fold_transitions
        (fun s e d acc ->
@@ -118,25 +138,22 @@ let make_decode alphabet =
   Event.Set.iter (fun e -> Hashtbl.replace h (Event.id e) e) alphabet;
   h
 
-let make_index name n names_lazy =
-  lazy
-    (let names = Lazy.force names_lazy in
-     let h = Hashtbl.create (2 * n) in
-     Array.iteri
-       (fun i s ->
-         if Hashtbl.mem h s then
-           invalid_arg
-             (Printf.sprintf "Automaton %s: duplicate state name %S" name s);
-         Hashtbl.add h s i)
-       names;
-     h)
+let make_index name n names =
+  memo (fun () ->
+      let h = Hashtbl.create (2 * n) in
+      Array.iteri
+        (fun i s ->
+          if Hashtbl.mem h s then
+            invalid_arg
+              (Printf.sprintf "Automaton %s: duplicate state name %S" name s);
+          Hashtbl.add h s i)
+        (force names);
+      h)
 
-(* Counting-sort the transition triples into CSR rows, then sort each row
-   by event id.  [describe] names the offending state in the
-   nondeterminism error (lazily — only on the error path).  The parallel
-   arrays variant is the workhorse: the tuple variant boxes a triple per
-   transition, which the parallel synthesis engine cannot afford at
-   tens of millions of transitions. *)
+(* Counting-sort the transitions, given as parallel (src, event id,
+   target) arrays, into CSR rows, then sort each row by event id.
+   [describe] names the offending state in the nondeterminism error
+   (lazily — only on the error path). *)
 let make_csr_arrays ~who ~describe n ~src ~event ~target =
   let total = Array.length src in
   if Array.length event <> total || Array.length target <> total then
@@ -177,95 +194,40 @@ let make_csr_arrays ~who ~describe n ~src ~event ~target =
   done;
   (row, ev, dst)
 
-let make_csr ~who ~describe n trans =
-  let total = Array.length trans in
-  let src = Array.make total 0 in
-  let event = Array.make total 0 in
-  let target = Array.make total 0 in
-  Array.iteri
-    (fun k (s, e, d) ->
-      src.(k) <- s;
-      event.(k) <- e;
-      target.(k) <- d)
-    trans;
-  make_csr_arrays ~who ~describe n ~src ~event ~target
-
 let of_indexed_arrays ~name ~names ~alphabet ~initial ~marked ~forbidden ~src
     ~event ~target =
   let n = Array.length marked in
   if Array.length forbidden <> n then
     invalid_arg
       (Printf.sprintf
-         "Automaton.of_indexed %s: marked/forbidden length mismatch (%d vs %d)"
+         "Automaton.of_indexed_arrays %s: marked/forbidden length mismatch \
+          (%d vs %d)"
          name n (Array.length forbidden));
   if initial < 0 || initial >= n then
     invalid_arg
-      (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
-         initial);
-  let names_lazy =
-    lazy
-      (let a = names () in
-       if Array.length a <> n then
-         invalid_arg
-           (Printf.sprintf
-              "Automaton.of_indexed %s: names () returned %d names for %d \
-               states"
-              name (Array.length a) n);
-       a)
+      (Printf.sprintf "Automaton.of_indexed_arrays %s: initial %d out of range"
+         name initial);
+  let names =
+    memo (fun () ->
+        let a = names () in
+        if Array.length a <> n then
+          invalid_arg
+            (Printf.sprintf
+               "Automaton.of_indexed_arrays %s: names () returned %d names \
+                for %d states"
+               name (Array.length a) n);
+        a)
   in
   let row, ev, dst =
     make_csr_arrays
-      ~who:(Printf.sprintf "Automaton.of_indexed %s" name)
+      ~who:(Printf.sprintf "Automaton.of_indexed_arrays %s" name)
       ~describe:string_of_int n ~src ~event ~target
   in
   {
     name;
     n;
-    names = names_lazy;
-    index = make_index name n names_lazy;
-    alphabet;
-    decode = make_decode alphabet;
-    row;
-    ev;
-    dst;
-    initial;
-    marked = Array.copy marked;
-    forbidden = Array.copy forbidden;
-    digest = None;
-  }
-
-let of_indexed ~name ~names ~alphabet ~initial ~marked ~forbidden trans =
-  let n = Array.length marked in
-  if Array.length forbidden <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Automaton.of_indexed %s: marked/forbidden length mismatch (%d vs %d)"
-         name n (Array.length forbidden));
-  if initial < 0 || initial >= n then
-    invalid_arg
-      (Printf.sprintf "Automaton.of_indexed %s: initial %d out of range" name
-         initial);
-  let names_lazy =
-    lazy
-      (let a = names () in
-       if Array.length a <> n then
-         invalid_arg
-           (Printf.sprintf
-              "Automaton.of_indexed %s: names () returned %d names for %d \
-               states"
-              name (Array.length a) n);
-       a)
-  in
-  let row, ev, dst =
-    make_csr
-      ~who:(Printf.sprintf "Automaton.of_indexed %s" name)
-      ~describe:string_of_int n trans
-  in
-  {
-    name;
-    n;
-    names = names_lazy;
-    index = make_index name n names_lazy;
+    names;
+    index = make_index name n names;
     alphabet;
     decode = make_decode alphabet;
     row;
@@ -339,18 +301,23 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
       | Some _ -> ()
       | None -> Hashtbl.add delta (si, Event.id e) di)
     transitions;
-  let trans = Array.make (Hashtbl.length delta) (0, 0, 0) in
+  let total = Hashtbl.length delta in
+  let src = Array.make total 0 in
+  let event = Array.make total 0 in
+  let target = Array.make total 0 in
   let k = ref 0 in
   Hashtbl.iter
     (fun (si, eid) di ->
-      trans.(!k) <- (si, eid, di);
+      src.(!k) <- si;
+      event.(!k) <- eid;
+      target.(!k) <- di;
       incr k)
     delta;
   let row, ev, dst =
-    make_csr
+    make_csr_arrays
       ~who:(Printf.sprintf "Automaton %s" name)
       ~describe:(fun s -> Printf.sprintf "%S" state_names.(s))
-      n trans
+      n ~src ~event ~target
   in
   let marked_arr =
     match marked with
@@ -365,8 +332,8 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
   {
     name;
     n;
-    names = Lazy.from_val state_names;
-    index = Lazy.from_val index;
+    names = Atomic.make (Value state_names);
+    index = Atomic.make (Value index);
     alphabet = !events;
     decode = make_decode !events;
     row;
@@ -440,35 +407,39 @@ let restrict_indices a keep =
     for i = 0 to a.n - 1 do
       if survive.(i) then old_of_new.(new_of_old.(i)) <- i
     done;
-    let trans = Array.make !n_trans (0, 0, 0) in
+    let src = Array.make !n_trans 0 in
+    let event = Array.make !n_trans 0 in
+    let target = Array.make !n_trans 0 in
     let k = ref 0 in
     for s = 0 to a.n - 1 do
       if keep.(s) then
         iter_row a s (fun eid d ->
             if keep.(d) then begin
-              trans.(!k) <- (new_of_old.(s), eid, new_of_old.(d));
+              src.(!k) <- new_of_old.(s);
+              event.(!k) <- eid;
+              target.(!k) <- new_of_old.(d);
               incr k
             end)
     done;
     let names () =
-      let parent = Lazy.force a.names in
+      let parent = force a.names in
       Array.map (fun old -> parent.(old)) old_of_new
     in
     Some
-      (of_indexed ~name:a.name ~names ~alphabet:a.alphabet
+      (of_indexed_arrays ~name:a.name ~names ~alphabet:a.alphabet
          ~initial:new_of_old.(a.initial)
          ~marked:(Array.init m (fun i -> a.marked.(old_of_new.(i))))
          ~forbidden:(Array.init m (fun i -> a.forbidden.(old_of_new.(i))))
-         trans)
+         ~src ~event ~target)
   end
 
 let restrict_states a ~keep =
-  restrict_indices a (Array.map keep (Lazy.force a.names))
+  restrict_indices a (Array.map keep (force a.names))
 
 let rename a name = { a with name; digest = None }
 
 let relabel_states a f =
-  let names = Lazy.force a.names in
+  let names = force a.names in
   let seen = Hashtbl.create 16 in
   Array.iter
     (fun s ->
@@ -540,7 +511,7 @@ let structural_digest a =
         Buffer.add_string b s
       in
       add a.name;
-      let names = Lazy.force a.names in
+      let names = force a.names in
       Buffer.add_string b (string_of_int a.n);
       Array.iter add names;
       Buffer.add_string b (string_of_int a.initial);

@@ -13,7 +13,7 @@
     (event id, destination) pairs sorted by {!Event.id} — and every
     algorithm (composition, reachability, synthesis, verification) runs on
     ints only.  State {e names} are a boundary concern: automata built by
-    algorithms ({!of_indexed}) carry their names lazily and only
+    algorithms ({!of_indexed_arrays}) carry their names lazily and only
     materialize them when a name-based accessor is first used, so a
     100k-state product that is immediately pruned never pays for 100k
     escaped name strings. *)
@@ -60,35 +60,6 @@ val of_transitions :
   t
 (** Record-based variant of {!create}. *)
 
-val of_indexed :
-  name:string ->
-  names:(unit -> string array) ->
-  alphabet:Event.Set.t ->
-  initial:int ->
-  marked:bool array ->
-  forbidden:bool array ->
-  (int * int * int) array ->
-  t
-(** {b Trusted constructor} for algorithm outputs.  [of_indexed ~name
-    ~names ~alphabet ~initial ~marked ~forbidden trans] builds an
-    automaton over states [0 .. Array.length marked - 1] directly from
-    index-space data: [trans] is (src index, {!Event.id}, dst index)
-    triples, [names] is only run — once, memoized — when a name-based
-    accessor is first used.
-
-    Unlike {!create} it performs no string interning and no state
-    collection, only a cheap nondeterminism scan after the CSR sort.  The
-    caller contract (who may call it: {!Compose}, {!Synthesis},
-    {!restrict_indices} — outputs that are deterministic and consistently
-    indexed {e by construction}):
-    - every event id in [trans] belongs to [alphabet];
-    - [marked] and [forbidden] have equal length (the state count) and
-      every index in [trans] and [initial] is within it;
-    - [names ()] returns exactly that many {e distinct} names (the
-      escaping {!product_state_name} join guarantees distinctness for
-      products).  Duplicate names are reported — [Invalid_argument] —
-      when the name table is first materialized, not at construction. *)
-
 val of_indexed_arrays :
   name:string ->
   names:(unit -> string array) ->
@@ -100,12 +71,33 @@ val of_indexed_arrays :
   event:int array ->
   target:int array ->
   t
-(** {!of_indexed} with the transitions as three parallel int arrays
-    instead of a tuple array: identical semantics and identical result
-    for the same logical triples, but no boxed triple per transition —
-    the constructor the parallel synthesis engine uses at
-    tens-of-millions-of-transitions scale.  Same caller contract as
-    {!of_indexed}. *)
+(** {b Trusted constructor} for algorithm outputs.  [of_indexed_arrays
+    ~name ~names ~alphabet ~initial ~marked ~forbidden ~src ~event
+    ~target] builds an automaton over states [0 .. Array.length marked -
+    1] directly from index-space data: transition [k] goes from state
+    [src.(k)] on the event with {!Event.id} [event.(k)] to state
+    [target.(k)] — three parallel int arrays, so no boxed triple per
+    transition even at tens of millions of transitions.  [names] is only
+    run — once, memoized — when a name-based accessor is first used.
+
+    Unlike {!create} it performs no string interning and no state
+    collection, only a cheap nondeterminism scan after the CSR sort.  The
+    caller contract (who may call it: {!Compose}, {!Synthesis},
+    {!restrict_indices} — outputs that are deterministic and consistently
+    indexed {e by construction}):
+    - every event id in [event] belongs to [alphabet];
+    - [src], [event] and [target] have equal length ([Invalid_argument]
+      otherwise);
+    - [marked] and [forbidden] have equal length (the state count) and
+      every index in [src], [target] and [initial] is within it;
+    - [names ()] returns exactly that many {e distinct} names (the
+      escaping {!product_state_name} join guarantees distinctness for
+      products).  Duplicate names are reported — [Invalid_argument] —
+      when the name table is first materialized, not at construction.
+
+    The name table may be first materialized from several domains at
+    once (a cached supervisor is shared across pool workers): every
+    domain gets the same table, and none raises. *)
 
 (** {1 Inspection} *)
 
@@ -193,7 +185,8 @@ val restrict_indices : t -> bool array -> t option
     survives when it is the initial state or an endpoint of a kept
     transition).  [None] when the initial state is not kept.  The
     alphabet is preserved; surviving states keep their names — lazily, so
-    restricting an {!of_indexed} product does not materialize names.
+    restricting an {!of_indexed_arrays} product does not materialize
+    names.
     Raises [Invalid_argument] when [keep] has the wrong length. *)
 
 val restrict_states : t -> keep:(string -> bool) -> t option

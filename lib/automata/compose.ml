@@ -5,8 +5,8 @@
    walk each component's CSR row: only events that are actually enabled
    somewhere are ever touched, and shared-event synchronization is one
    binary search in the other component's row.  Product state names are
-   never materialized here; [Automaton.of_indexed] builds them lazily from
-   the (ia, ib) pair map if anyone asks. *)
+   never materialized here; [Automaton.of_indexed_arrays] builds them
+   lazily from the (ia, ib) pair map if anyone asks. *)
 
 let pair a b =
   let sigma_a = Automaton.alphabet a and sigma_b = Automaton.alphabet b in
@@ -77,13 +77,10 @@ let pair a b =
           (Automaton.state_of_index a pa.(i))
           (Automaton.state_of_index b pb.(i)))
   in
-  let trans =
-    Array.init (Intvec.length tsrc) (fun k ->
-        (Intvec.get tsrc k, Intvec.get tev k, Intvec.get tdst k))
-  in
-  Automaton.of_indexed
+  Automaton.of_indexed_arrays
     ~name:(Automaton.name a ^ "||" ^ Automaton.name b)
-    ~names ~alphabet ~initial:0 ~marked ~forbidden trans
+    ~names ~alphabet ~initial:0 ~marked ~forbidden ~src:(Intvec.to_array tsrc)
+    ~event:(Intvec.to_array tev) ~target:(Intvec.to_array tdst)
 
 (* n-ary composition as a size-ordered balanced tree, not a left fold.
    A fold produces the maximally skewed chain ((a‖b)‖c)‖…, whose

@@ -15,40 +15,6 @@ let pp_stats ppf s =
 
 type error = Empty_supervisor
 
-(* The synthesis works on the reachable product of plant and spec, kept
-   index-native: product states are dense ints mapping back to (plant
-   index, spec index) through [pg]/[pe], transitions live in parallel
-   (src, event id, dst) arrays, and the two fixpoint relations the passes
-   actually consult — predecessors, and the uncontrollable-event
-   sub-graph — are CSR adjacency built once.
-
-   The uncontrollable index exists because the fixpoint only ever asks
-   two questions of a state: does the plant enable an uncontrollable
-   event the spec disables (an escape — bad no matter what), and which
-   states does it reach / is it reached from via uncontrollable events?
-   Neither answer depends on the evolving good-set, so both are resolved
-   during product construction — each plant-row entry is examined exactly
-   once, against one binary search in the spec's row. *)
-
-type product = {
-  pg : int array; (* product index -> plant index *)
-  pe : int array; (* product index -> spec index *)
-  tsrc : int array; (* product transitions, parallel arrays *)
-  tev : int array;
-  tdst : int array;
-  pred_row : int array; (* CSR: incoming source indices per state *)
-  pred : int array;
-  marked : bool array;
-  forbidden : bool array;
-  initial : int;
-  alphabet : Event.Set.t;
-  unc_escape : bool array;
-  unc_succ_row : int array; (* CSR: successors via uncontrollable events *)
-  unc_succ : int array;
-  unc_pred_row : int array; (* reverse of [unc_succ] *)
-  unc_pred : int array;
-}
-
 (* Counting-sort (key, value) pairs into CSR form over [n] buckets. *)
 let csr_of_pairs n keys values =
   let count = Array.length keys in
@@ -67,292 +33,32 @@ let csr_of_pairs n keys values =
   done;
   (row, out)
 
-let build_product plant spec =
-  let sigma_g = Automaton.alphabet plant in
-  let sigma_e = Automaton.alphabet spec in
-  let alphabet =
-    Event.merge_alphabets
-      ~context:
-        (Printf.sprintf "Synthesis.supcon(%s,%s)" (Automaton.name plant)
-           (Automaton.name spec))
-      sigma_g sigma_e
-  in
-  let max_id = Event.Set.fold (fun e m -> max m (Event.id e)) alphabet (-1) in
-  let in_g = Array.make (max_id + 1) false in
-  let in_e = Array.make (max_id + 1) false in
-  let ctrl = Array.make (max_id + 1) true in
-  Event.Set.iter (fun e -> in_g.(Event.id e) <- true) sigma_g;
-  Event.Set.iter (fun e -> in_e.(Event.id e) <- true) sigma_e;
-  Event.Set.iter
-    (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
-    alphabet;
-  let ne = Automaton.num_states spec in
-  let seen : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let pg = Intvec.create () and pe = Intvec.create () in
-  let tsrc = Intvec.create () and tev = Intvec.create () in
-  let tdst = Intvec.create () in
-  let esc = Intvec.create () in
-  let usrc = Intvec.create () and udst = Intvec.create () in
-  let queue = Queue.create () in
-  let visit ig ie =
-    let key = (ig * ne) + ie in
-    match Hashtbl.find_opt seen key with
-    | Some i -> i
-    | None ->
-        let i = Intvec.length pg in
-        Hashtbl.add seen key i;
-        Intvec.push pg ig;
-        Intvec.push pe ie;
-        Queue.push (i, ig, ie) queue;
-        i
-  in
-  ignore (visit (Automaton.initial_index plant) (Automaton.initial_index spec));
-  while not (Queue.is_empty queue) do
-    let i, ig, ie = Queue.pop queue in
-    let emit eid j =
-      Intvec.push tsrc i;
-      Intvec.push tev eid;
-      Intvec.push tdst j
-    in
-    (* Only plant-enabled uncontrollable events feed the controllability
-       index: controllability is about what the *plant* can generate. *)
-    let emit_plant eid j =
-      emit eid j;
-      if not ctrl.(eid) then begin
-        Intvec.push usrc i;
-        Intvec.push udst j
-      end
-    in
-    Automaton.iter_row plant ig (fun eid jg ->
-        if in_e.(eid) then (
-          match Automaton.step_index spec ie eid with
-          | Some je -> emit_plant eid (visit jg je)
-          | None ->
-              (* The spec's alphabet contains this event but disables it
-                 here.  For an uncontrollable event that is an escape:
-                 the plant can fire it regardless of the supervisor. *)
-              if not ctrl.(eid) then Intvec.push esc i)
-        else emit_plant eid (visit jg ie));
-    Automaton.iter_row spec ie (fun eid je ->
-        if not in_g.(eid) then emit eid (visit ig je))
-  done;
-  let n = Intvec.length pg in
-  let pg = Intvec.to_array pg and pe = Intvec.to_array pe in
-  let tsrc = Intvec.to_array tsrc in
-  let tev = Intvec.to_array tev in
-  let tdst = Intvec.to_array tdst in
-  let pred_row, pred = csr_of_pairs n tdst tsrc in
-  let usrc = Intvec.to_array usrc and udst = Intvec.to_array udst in
-  let unc_succ_row, unc_succ = csr_of_pairs n usrc udst in
-  let unc_pred_row, unc_pred = csr_of_pairs n udst usrc in
-  let unc_escape = Array.make n false in
-  let esc = Intvec.to_array esc in
-  Array.iter (fun i -> unc_escape.(i) <- true) esc;
-  let marked =
-    Array.init n (fun i ->
-        Automaton.is_marked_index plant pg.(i)
-        && Automaton.is_marked_index spec pe.(i))
-  in
-  let forbidden =
-    Array.init n (fun i ->
-        Automaton.is_forbidden_index plant pg.(i)
-        || Automaton.is_forbidden_index spec pe.(i))
-  in
-  {
-    pg;
-    pe;
-    tsrc;
-    tev;
-    tdst;
-    pred_row;
-    pred;
-    marked;
-    forbidden;
-    initial = 0;
-    alphabet;
-    unc_escape;
-    unc_succ_row;
-    unc_succ;
-    unc_pred_row;
-    unc_pred;
-  }
-
-(* One uncontrollability pass: mark good states bad when the plant enables
-   an uncontrollable event that either leaves the product (spec disables
-   it) or lands on a bad state.  Worklist-driven — seed with the states
-   that are violated right now, then only revisit predecessors of newly
-   bad states.  Returns the number newly removed. *)
-let uncontrollable_pass p good =
-  let removed = ref 0 in
-  let queue = Queue.create () in
-  let kill i =
-    if good.(i) then begin
-      good.(i) <- false;
-      incr removed;
-      Queue.push i queue
-    end
-  in
-  let n = Array.length good in
-  for i = 0 to n - 1 do
-    if good.(i) then
-      if p.unc_escape.(i) then kill i
-      else
-        let lo = p.unc_succ_row.(i) and hi = p.unc_succ_row.(i + 1) in
-        let rec bad_succ k =
-          k < hi && ((not good.(p.unc_succ.(k))) || bad_succ (k + 1))
-        in
-        if bad_succ lo then kill i
-  done;
-  while not (Queue.is_empty queue) do
-    let j = Queue.pop queue in
-    for k = p.unc_pred_row.(j) to p.unc_pred_row.(j + 1) - 1 do
-      kill p.unc_pred.(k)
-    done
-  done;
-  !removed
-
-(* Trimming pass restricted to the good region: bad-out states that cannot
-   reach a good marked state through good states. *)
-let blocking_pass p good =
-  let n = Array.length good in
-  let coacc = Array.make n false in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if good.(i) && p.marked.(i) then begin
-      coacc.(i) <- true;
-      Queue.push i queue
-    end
-  done;
-  while not (Queue.is_empty queue) do
-    let j = Queue.pop queue in
-    for k = p.pred_row.(j) to p.pred_row.(j + 1) - 1 do
-      let i = p.pred.(k) in
-      if good.(i) && not coacc.(i) then begin
-        coacc.(i) <- true;
-        Queue.push i queue
-      end
-    done
-  done;
-  let removed = ref 0 in
-  for i = 0 to n - 1 do
-    if good.(i) && not coacc.(i) then begin
-      good.(i) <- false;
-      incr removed
-    end
-  done;
-  !removed
-
-let supcon ~plant ~spec =
-  let p = build_product plant spec in
-  let n = Array.length p.pg in
-  let good = Array.make n true in
-  let removed_forbidden = ref 0 in
-  Array.iteri
-    (fun i f ->
-      if f then begin
-        good.(i) <- false;
-        incr removed_forbidden
-      end)
-    p.forbidden;
-  let removed_unc = ref 0 in
-  let removed_blk = ref 0 in
-  let iterations = ref 0 in
-  let continue = ref true in
-  while !continue do
-    incr iterations;
-    let u = uncontrollable_pass p good in
-    let b = blocking_pass p good in
-    removed_unc := !removed_unc + u;
-    removed_blk := !removed_blk + b;
-    if u = 0 && b = 0 then continue := false
-  done;
-  let stats =
-    {
-      product_states = n;
-      removed_uncontrollable = !removed_unc;
-      removed_blocking = !removed_blk;
-      removed_forbidden = !removed_forbidden;
-      iterations = !iterations;
-    }
-  in
-  if not good.(p.initial) then Error Empty_supervisor
-  else begin
-    (* Renumber the good states densely and rebuild in index space; names
-       stay lazy — [product_state_name] runs only if someone asks. *)
-    let new_of_old = Array.make n (-1) in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if good.(i) then begin
-        new_of_old.(i) <- !m;
-        incr m
-      end
-    done;
-    let m = !m in
-    let old_of_new = Array.make m 0 in
-    for i = 0 to n - 1 do
-      if good.(i) then old_of_new.(new_of_old.(i)) <- i
-    done;
-    let kept = Intvec.create () in
-    Array.iteri
-      (fun k src ->
-        if good.(src) && good.(p.tdst.(k)) then Intvec.push kept k)
-      p.tsrc;
-    let trans =
-      Array.init (Intvec.length kept) (fun j ->
-          let k = Intvec.get kept j in
-          (new_of_old.(p.tsrc.(k)), p.tev.(k), new_of_old.(p.tdst.(k))))
-    in
-    let names () =
-      Array.init m (fun i ->
-          let old = old_of_new.(i) in
-          (* Escaping join (see Automaton.product_state_name): the plant
-             is typically itself a composition with dotted state names. *)
-          Automaton.product_state_name
-            (Automaton.state_of_index plant p.pg.(old))
-            (Automaton.state_of_index spec p.pe.(old)))
-    in
-    let sup =
-      Automaton.of_indexed
-        ~name:("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
-        ~names ~alphabet:p.alphabet
-        ~initial:new_of_old.(p.initial)
-        ~marked:(Array.init m (fun i -> p.marked.(old_of_new.(i))))
-        ~forbidden:(Array.make m false)
-        trans
-    in
-    (* Only the accessible part is meaningful (pruning can disconnect). *)
-    Ok (Reach.accessible sup, stats)
-  end
-
-let supcon_exn ~plant ~spec =
-  match supcon ~plant ~spec with
-  | Ok (sup, _) -> sup
-  | Error Empty_supervisor -> failwith "Synthesis.supcon: empty supervisor"
-
 (* ===================================================================== *)
-(* Sharded parallel synthesis.                                           *)
+(* The synthesis engine.                                                 *)
 (*                                                                       *)
-(* The engine below generalizes [build_product] + the fixpoint passes    *)
-(* in two directions at once: the product is taken over an array of      *)
-(* components (k plant components and the spec, composed on the fly, so  *)
-(* a 3^k unconstrained plant is never materialized when the spec admits  *)
-(* only a sliver of it), and both the product construction and the       *)
-(* fixpoint run on [jobs] SPMD workers.                                  *)
+(* One engine behind every entry point: [supcon] is [supcon_par] at      *)
+(* jobs=1, and [supcon_modular] hands it the plant components unfused.   *)
+(* The product is taken over an array of components (the plant or k      *)
+(* plant components, then the spec), composed on the fly so a 3^k        *)
+(* unconstrained plant is never materialized when the spec admits only   *)
+(* a sliver of it; both the product construction and the fixpoint run   *)
+(* on [jobs] SPMD workers (at jobs=1, inline on the calling domain).     *)
 (*                                                                       *)
-(* Determinism is the load-bearing design decision.  The sequential     *)
-(* [build_product] numbers product states in BFS discovery order, with   *)
-(* per-state emissions in a fixed intrinsic order (each component's CSR  *)
-(* row walked in event-id order, an event handled by its lowest-indexed  *)
-(* owner).  The parallel exploration is level-synchronous and shards     *)
-(* states by a hash of their joint key, so its interim numbering is      *)
-(* jobs-dependent — but each worker buffers its emissions in exactly     *)
-(* the intrinsic per-state order, which means a cheap sequential BFS     *)
-(* renumbering over the assembled transition structure reproduces the    *)
-(* sequential numbering *exactly*, for any [jobs].  Everything after     *)
-(* that point (CSR sort in [of_indexed_arrays], digests, names) is a     *)
-(* pure function of that numbering.  The fixpoint passes each compute a  *)
-(* complete, unique fixpoint of a monotone operator, so their per-pass   *)
-(* removal counts and the iteration count are traversal-order-free.     *)
+(* Determinism is the load-bearing design decision.  The canonical       *)
+(* numbering of product states is BFS discovery order from the initial   *)
+(* state, with per-state emissions in a fixed intrinsic order (each      *)
+(* component's CSR row walked in event-id order, an event handled by     *)
+(* its lowest-indexed owner).  The parallel exploration is               *)
+(* level-synchronous and shards states by a hash of their joint key, so  *)
+(* its interim numbering is jobs-dependent — but each worker buffers its *)
+(* emissions in exactly the intrinsic per-state order, which means a     *)
+(* cheap sequential BFS renumbering over the assembled transition        *)
+(* structure yields the canonical numbering *exactly*, for any [jobs].   *)
+(* Everything after that point (CSR sort in [of_indexed_arrays],         *)
+(* digests, names) is a pure function of that numbering.  The fixpoint   *)
+(* passes each compute a complete, unique fixpoint of a monotone         *)
+(* operator, so their per-pass removal counts and the iteration count    *)
+(* are traversal-order-free.                                             *)
 (*                                                                       *)
 (* Memory-ordering note: inside a pass, workers may read [good]/[coacc]  *)
 (* cells owned by other workers without synchronization.  Both arrays    *)
@@ -490,9 +196,19 @@ let t_find t key =
   done;
   !res
 
-let supcon_sharded ~jobs ~comps ~sup_name ~context =
+(* [comps] is the plant components then the spec; [entry] names the
+   public function in error contexts. *)
+let supcon_sharded ~entry ~jobs comps =
+  let jobs = max 1 jobs in
   let nc = Array.length comps in
   let spec_c = nc - 1 in
+  let plant_name =
+    String.concat "||" (List.init spec_c (fun c -> Automaton.name comps.(c)))
+  in
+  let spec_name = Automaton.name comps.(spec_c) in
+  let context =
+    Printf.sprintf "Synthesis.%s(%s,%s)" entry plant_name spec_name
+  in
   let alphabet =
     let acc = ref (Automaton.alphabet comps.(0)) in
     for c = 1 to nc - 1 do
@@ -690,6 +406,11 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       done;
       levels := !any
     done;
+    (* From here on each phase drops the buffers no worker reads again, so
+       they can be collected mid-synthesis: held to the end, they raised
+       the peak heap of repeated monolithic syntheses by about 30 %. *)
+    tables.(w).tkeys <- [||];
+    tables.(w).tvals <- [||];
     (* ---------- phase 2: assembly into one flat CSR ------------------ *)
     if w = 0 then begin
       let off = ref 0 in
@@ -740,6 +461,9 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       tdst_t.(p) <- flat (Intvec.get btdst.(w) k);
       d.(f) <- p + 1
     done;
+    List.iter
+      (fun v -> v.(w) <- Intvec.create ~capacity:1 ())
+      [ skeys; btsrc; btev; btdst ];
     Spmd.wait b;
     (* ---------- phase 3: canonical BFS renumbering ------------------- *)
     if w = 0 then begin
@@ -810,7 +534,15 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
     done;
     Spmd.wait b;
     (* ---------- phase 4: derived CSRs (pred, uncontrollable) --------- *)
+    (* The fixpoint's two questions — does the plant enable an
+       uncontrollable event the spec disables (an escape, found during
+       expansion), and which states are linked by uncontrollable events —
+       do not depend on the good-set, so that sub-graph is indexed once.
+       Only plant-owned events feed it: a spec-private uncontrollable
+       event cannot be generated by the plant, so disabling it is free. *)
+    besc.(w) <- Intvec.create ~capacity:1 ();
     if w = 0 then begin
+      List.iter (fun r -> r := [||]) [ deg; trow; ttev; ttdst; perm ];
       let m_t = nrow.(n) in
       let ts = Array.make m_t 0 in
       for i = 0 to n - 1 do
@@ -911,8 +643,8 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
           done
         done
       in
-      (* First iteration also removes forbidden states, exactly as the
-         sequential path removes them before its loop. *)
+      (* The first iteration also removes the forbidden states, counted
+         apart from the passes as [removed_forbidden]. *)
       if !iterations = 0 then begin
         for i = lo_r to hi_r - 1 do
           if pf.(i) then begin
@@ -1009,7 +741,9 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
       fix := !go_on
     done;
     (* ---------- phase 6: supervisor extraction ----------------------- *)
-    if w = 0 then
+    if w = 0 then begin
+      List.iter (fun r -> r := [||]) [ prow; pred; usrow; usucc; uprow; upred ];
+      List.iter (fun r -> r := [||]) [ pforbid; pesc; coacc ];
       if not g.(0) then empty := true
       else begin
         let so = Array.make n (-1) in
@@ -1027,7 +761,8 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
         done;
         sup_of := so;
         old_of_sup := os
-      end;
+      end
+    end;
     Spmd.wait b;
     if not !empty then begin
       let so = !sup_of in
@@ -1092,7 +827,9 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
                    (key / weights.(c) mod cs.(c).cn))))
     in
     let sup =
-      Automaton.of_indexed_arrays ~name:sup_name ~names ~alphabet ~initial:0
+      Automaton.of_indexed_arrays
+        ~name:("sup(" ^ plant_name ^ "," ^ spec_name ^ ")")
+        ~names ~alphabet ~initial:0
         ~marked:(Array.init m (fun i -> pm.(os.(i))))
         ~forbidden:(Array.make m false) ~src:!ksrc ~event:!kev ~target:!kdst
     in
@@ -1100,22 +837,16 @@ let supcon_sharded ~jobs ~comps ~sup_name ~context =
   end
 
 let supcon_par ?(jobs = 1) ~plant ~spec () =
-  let jobs = max 1 jobs in
-  supcon_sharded ~jobs
-    ~comps:[| plant; spec |]
-    ~sup_name:
-      ("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
-    ~context:
-      (Printf.sprintf "Synthesis.supcon(%s,%s)" (Automaton.name plant)
-         (Automaton.name spec))
+  supcon_sharded ~entry:"supcon" ~jobs [| plant; spec |]
+
+let supcon ~plant ~spec = supcon_par ~jobs:1 ~plant ~spec ()
+
+let supcon_exn ~plant ~spec =
+  match supcon ~plant ~spec with
+  | Ok (sup, _) -> sup
+  | Error Empty_supervisor -> failwith "Synthesis.supcon: empty supervisor"
 
 let supcon_modular ?(jobs = 1) ~plants ~spec () =
   if plants = [] then invalid_arg "Synthesis.supcon_modular: no plant components";
-  let jobs = max 1 jobs in
-  let plant_name = String.concat "||" (List.map Automaton.name plants) in
-  supcon_sharded ~jobs
-    ~comps:(Array.of_list (plants @ [ spec ]))
-    ~sup_name:("sup(" ^ plant_name ^ "," ^ Automaton.name spec ^ ")")
-    ~context:
-      (Printf.sprintf "Synthesis.supcon_modular(%s,%s)" plant_name
-         (Automaton.name spec))
+  supcon_sharded ~entry:"supcon_modular" ~jobs
+    (Array.of_list (plants @ [ spec ]))

@@ -34,11 +34,12 @@ val supcon :
   plant:Automaton.t ->
   spec:Automaton.t ->
   (Automaton.t * stats, error) result
-(** [supcon ~plant ~spec] synthesizes the supervisor.  Product states are
-    named ["qG.qE"] as in Fig. 12d.  The returned automaton is both the
-    supervisor realization and the closed-loop behaviour (standard for
-    state-feedback RW supervisors); it is guaranteed controllable w.r.t.
-    [plant], non-blocking and trim — properties re-checked by
+(** [supcon ~plant ~spec] synthesizes the supervisor: [supcon_par ~jobs:1
+    ~plant ~spec ()].  Product states are named ["qG.qE"] as in
+    Fig. 12d.  The returned automaton is both the supervisor realization
+    and the closed-loop behaviour (standard for state-feedback RW
+    supervisors); it is guaranteed controllable w.r.t. [plant],
+    non-blocking and trim — properties re-checked by
     {!Verify.controllable} and {!Verify.nonblocking} in the test-suite. *)
 
 val supcon_exn : plant:Automaton.t -> spec:Automaton.t -> Automaton.t
@@ -51,18 +52,19 @@ val supcon_par :
   spec:Automaton.t ->
   unit ->
   (Automaton.t * stats, error) result
-(** Sharded parallel {!supcon}.  [jobs] workers (default 1) explore the
-    reachable product with per-shard open-addressing state tables and
-    per-worker frontiers, then run the uncontrollable/blocking fixpoint
-    over contiguous state ranges with cross-shard spill queues.
+(** The synthesis engine.  [jobs] workers (default 1; at 1 the engine
+    runs inline on the calling domain) explore the reachable product
+    with per-shard open-addressing state tables and per-worker frontiers,
+    then run the uncontrollable/blocking fixpoint over contiguous state
+    ranges with cross-shard spill queues.
 
-    {b Determinism contract}: for any [jobs], the result — supervisor
-    states, names, transitions, {!Automaton.structural_digest} and
-    {!stats} — is byte-identical to [supcon ~plant ~spec].  The parallel
-    exploration's interim numbering is canonicalized by a sequential BFS
-    renumbering that reproduces the sequential discovery order exactly,
-    and each fixpoint pass computes a unique complete fixpoint, so its
-    removal counts are traversal-order-free. *)
+    {b Determinism contract}: the result — supervisor states, names,
+    transitions, {!Automaton.structural_digest} and {!stats} — is
+    deterministic in [jobs]: every job count returns the same bytes.
+    The parallel exploration's interim numbering is canonicalized by a
+    sequential BFS renumbering (breadth-first discovery order from the
+    initial state), and each fixpoint pass computes a unique complete
+    fixpoint, so its removal counts are traversal-order-free. *)
 
 val supcon_modular :
   ?jobs:int ->

@@ -3,10 +3,10 @@ open Spectr_platform
 
 type item = { a_tasks : int; a_duration : int; a_kind : string }
 
+(* Eager: [generate] runs on fleet pool workers, and a [lazy] forced
+   from two domains at once raises [CamlinternalLazy.Undefined]. *)
 let kinds =
-  lazy
-    (Array.of_list
-       (List.map (fun w -> w.Workload.name) Benchmarks.all_qos))
+  Array.of_list (List.map (fun w -> w.Workload.name) Benchmarks.all_qos)
 
 let mix seed epoch =
   Int64.add
@@ -19,7 +19,6 @@ let generate ~seed ~epoch ~rate =
   let base = int_of_float rate in
   let frac = rate -. float_of_int base in
   let count = base + (if Prng.float g < frac then 1 else 0) in
-  let kinds = Lazy.force kinds in
   List.init count (fun _ ->
       {
         a_tasks = 1 + Prng.int g 3;

@@ -859,6 +859,60 @@ let test_digest_deterministic () =
     (Automaton.structural_digest p1)
     (Automaton.structural_digest p2)
 
+(* Regression: one fresh automaton's name table forced from two domains
+   at once (a cached supervisor is shared across pool workers).  The
+   table used to be a [Lazy.t], which raises [CamlinternalLazy.Undefined]
+   in a domain that forces it while another domain is evaluating it.
+   The first domain into [names ()] waits there until the second domain
+   has entered [names ()] too or finished forcing, so the two overlap on
+   every run rather than by luck of scheduling. *)
+let test_names_forced_from_two_domains () =
+  let entered = Atomic.make 0 and second_done = Atomic.make false in
+  let names () =
+    if Atomic.fetch_and_add entered 1 = 0 then begin
+      let deadline = Unix.gettimeofday () +. 5. in
+      while
+        Atomic.get entered < 2
+        && (not (Atomic.get second_done))
+        && Unix.gettimeofday () < deadline
+      do
+        Domain.cpu_relax ()
+      done
+    end;
+    [| "lo"; "hi" |]
+  in
+  let up = Event.controllable "two_domain_up" in
+  let a =
+    Automaton.of_indexed_arrays ~name:"TwoDomains" ~names
+      ~alphabet:(Event.Set.singleton up) ~initial:0 ~marked:[| true; false |]
+      ~forbidden:[| false; false |] ~src:[| 0 |] ~event:[| Event.id up |]
+      ~target:[| 1 |]
+  in
+  let force () =
+    match Automaton.states a with
+    | states -> Ok states
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let second =
+    Domain.spawn (fun () ->
+        while Atomic.get entered = 0 do
+          Domain.cpu_relax ()
+        done;
+        let r = force () in
+        Atomic.set second_done true;
+        r)
+  in
+  let first = force () in
+  let second = Domain.join second in
+  let show = function
+    | Ok states -> String.concat "," states
+    | Error e -> "raised " ^ e
+  in
+  check_string "first domain" "lo,hi" (show first);
+  check_string "second domain" "lo,hi" (show second);
+  check_int "name index built once, consistently" 1
+    (Automaton.index_of_state a "hi")
+
 let test_unescape_state_name () =
   check_string "product escape undone" "Eval.Safe.Uncapped"
     (Automaton.unescape_state_name "Eval\\.Safe.Uncapped");
@@ -869,8 +923,188 @@ let test_unescape_state_name () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel synthesis: supcon_par / supcon_modular / the bugfixed      *)
-(* passes, pinned against their sequential references.                 *)
+(* passes, pinned against string-native references.                    *)
 (* ------------------------------------------------------------------ *)
+
+(* String-native reference synthesis: the textbook Ramadge–Wonham
+   fixpoint over a Hashtbl-of-name-pairs product, on the public
+   name-based API only.  It shares no code with the engine, so a
+   differential against it compares two independent implementations.
+   Returns the supervisor (accessible part, states named by
+   [product_state_name]) with the engine's statistics, or [None] when
+   the initial state is removed. *)
+let ref_supcon ~plant ~spec =
+  let sigma_g = Automaton.alphabet plant and sigma_e = Automaton.alphabet spec in
+  let alphabet = Event.Set.union sigma_g sigma_e in
+  let name_of (qg, qe) = Automaton.product_state_name qg qe in
+  (* Reachable product: successors per state, each tagged with whether
+     the plant generates the event (only those count for
+     controllability), plus the states where the plant enables an
+     uncontrollable event the spec disables — escapes. *)
+  let succ = Hashtbl.create 64 and escape = Hashtbl.create 16 in
+  let states = ref [] in
+  let queue = Queue.create () in
+  let visit q =
+    if not (Hashtbl.mem succ q) then begin
+      Hashtbl.add succ q [];
+      states := q :: !states;
+      Queue.push q queue
+    end
+  in
+  let init = (Automaton.initial plant, Automaton.initial spec) in
+  visit init;
+  while not (Queue.is_empty queue) do
+    let ((qg, qe) as q) = Queue.pop queue in
+    Event.Set.iter
+      (fun e ->
+        let in_g = Event.Set.mem e sigma_g and in_e = Event.Set.mem e sigma_e in
+        let g' = if in_g then Automaton.step plant qg e else Some qg in
+        let e' = if in_e then Automaton.step spec qe e else Some qe in
+        match (g', e') with
+        | Some g', Some e' ->
+            visit (g', e');
+            Hashtbl.replace succ q ((e, in_g, (g', e')) :: Hashtbl.find succ q)
+        | Some _, None when in_g && not (Event.is_controllable e) ->
+            Hashtbl.replace escape q ()
+        | _ -> ())
+      alphabet
+  done;
+  let good = Hashtbl.create 64 in
+  let removed_forbidden = ref 0 in
+  List.iter
+    (fun ((qg, qe) as q) ->
+      if Automaton.is_forbidden plant qg || Automaton.is_forbidden spec qe then
+        incr removed_forbidden
+      else Hashtbl.replace good q ())
+    !states;
+  let is_good q = Hashtbl.mem good q in
+  let marked (qg, qe) = Automaton.is_marked plant qg && Automaton.is_marked spec qe in
+  let removed_unc = ref 0 and removed_blk = ref 0 and iterations = ref 0 in
+  let continue = ref true in
+  while !continue do
+    incr iterations;
+    (* Uncontrollable pass, to its fixpoint. *)
+    let u = ref 0 and changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun q ->
+          if
+            is_good q
+            && (Hashtbl.mem escape q
+               || List.exists
+                    (fun (e, in_g, d) ->
+                      in_g && (not (Event.is_controllable e)) && not (is_good d))
+                    (Hashtbl.find succ q))
+          then begin
+            Hashtbl.remove good q;
+            incr u;
+            changed := true
+          end)
+        !states
+    done;
+    (* Blocking pass: keep the good states that reach a good marked state
+       through good states. *)
+    let coacc = Hashtbl.create 64 in
+    List.iter (fun q -> if is_good q && marked q then Hashtbl.replace coacc q ()) !states;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun q ->
+          if
+            is_good q
+            && (not (Hashtbl.mem coacc q))
+            && List.exists (fun (_, _, d) -> Hashtbl.mem coacc d) (Hashtbl.find succ q)
+          then begin
+            Hashtbl.replace coacc q ();
+            changed := true
+          end)
+        !states
+    done;
+    let b = ref 0 in
+    List.iter
+      (fun q ->
+        if is_good q && not (Hashtbl.mem coacc q) then begin
+          Hashtbl.remove good q;
+          incr b
+        end)
+      !states;
+    removed_unc := !removed_unc + !u;
+    removed_blk := !removed_blk + !b;
+    continue := !u > 0 || !b > 0
+  done;
+  let stats =
+    {
+      Synthesis.product_states = List.length !states;
+      removed_uncontrollable = !removed_unc;
+      removed_blocking = !removed_blk;
+      removed_forbidden = !removed_forbidden;
+      iterations = !iterations;
+    }
+  in
+  if not (is_good init) then None
+  else begin
+    (* The accessible part of the good region. *)
+    let reached = Hashtbl.create 64 and transitions = ref [] in
+    let queue = Queue.create () in
+    Hashtbl.add reached init ();
+    Queue.push init queue;
+    while not (Queue.is_empty queue) do
+      let q = Queue.pop queue in
+      List.iter
+        (fun (e, _, d) ->
+          if is_good d then begin
+            transitions := (name_of q, e, name_of d) :: !transitions;
+            if not (Hashtbl.mem reached d) then begin
+              Hashtbl.add reached d ();
+              Queue.push d queue
+            end
+          end)
+        (Hashtbl.find succ q)
+    done;
+    let marked_names =
+      List.filter_map
+        (fun q -> if Hashtbl.mem reached q && marked q then Some (name_of q) else None)
+        !states
+    in
+    Some
+      ( Automaton.create ~marked:marked_names
+          ~alphabet:(Event.Set.elements alphabet)
+          ~name:("sup(" ^ Automaton.name plant ^ "," ^ Automaton.name spec ^ ")")
+          ~initial:(name_of init) ~transitions:!transitions (),
+        stats )
+  end
+
+(* The engine against [ref_supcon]: same presence, an isomorphic
+   supervisor with exactly the same state names, the same statistics. *)
+let check_against_reference ~what ~plant ~spec result =
+  match (ref_supcon ~plant ~spec, result) with
+  | None, Error Synthesis.Empty_supervisor -> ()
+  | Some (ra, rt), Ok (sa, st) ->
+      if not (Automaton.isomorphic ra sa) then
+        Alcotest.failf "%s: supervisor differs from the reference" what;
+      if
+        List.sort String.compare (Automaton.states ra)
+        <> List.sort String.compare (Automaton.states sa)
+      then Alcotest.failf "%s: state names differ from the reference" what;
+      if rt <> st then
+        Alcotest.failf "%s: stats differ from the reference (%s vs %s)" what
+          (Format.asprintf "%a" Synthesis.pp_stats rt)
+          (Format.asprintf "%a" Synthesis.pp_stats st)
+  | Some _, Error _ -> Alcotest.failf "%s: engine empty, reference not" what
+  | None, Ok _ -> Alcotest.failf "%s: reference empty, engine not" what
+
+(* The engine's determinism pin: the same bytes at any job count. *)
+let check_jobs_invariant ~what r1 r4 =
+  match (r1, r4) with
+  | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor -> ()
+  | Ok (s1, t1), Ok (s4, t4) ->
+      check_string (what ^ ": digest jobs=1 = jobs=4")
+        (Automaton.structural_digest s1)
+        (Automaton.structural_digest s4);
+      check_bool (what ^ ": stats jobs=1 = jobs=4") true (t1 = t4)
+  | _ -> Alcotest.failf "%s: emptiness depends on jobs" what
 
 (* The bench's k-cluster plant family and shared budget spec, reduced:
    the canonical many-component workload for the modular engine. *)
@@ -906,40 +1140,26 @@ let cluster_budget_spec ~k ~cap =
     ~name:(Printf.sprintf "Bud%d" cap)
     ~initial:(state 0) ~transitions:!transitions ()
 
-(* The tentpole's hard pin: for any job count, supcon_par returns a
-   byte-identical result — same digest (hence same states, names and
-   transitions), same stats, same Verify verdicts. *)
+(* 60 seeded plant/spec pairs: the engine at jobs=1 and 4 against the
+   string-native reference, and jobs=1 byte-identical to jobs=4. *)
 let test_supcon_par_matches_sequential () =
   for seed = 0 to 59 do
     let plant = random_automaton ~seed ~name:"PP" in
     let spec = random_automaton ~seed:(seed + 3000) ~name:"PS" in
-    let seq = Synthesis.supcon ~plant ~spec in
+    let run jobs = Synthesis.supcon_par ~jobs ~plant ~spec () in
+    let r1 = run 1 and r4 = run 4 in
     List.iter
-      (fun jobs ->
-        match (seq, Synthesis.supcon_par ~jobs ~plant ~spec ()) with
-        | Error Synthesis.Empty_supervisor, Error Synthesis.Empty_supervisor ->
-            ()
-        | Ok (sa, ta), Ok (sb, tb) ->
-            if
-              Automaton.structural_digest sa
-              <> Automaton.structural_digest sb
-            then
-              Alcotest.failf "seed %d jobs %d: supcon_par digest differs" seed
-                jobs;
-            if ta <> tb then
-              Alcotest.failf "seed %d jobs %d: supcon_par stats differ" seed
-                jobs;
-            let verdict s = Verify.controllable ~plant ~supervisor:s = Ok () in
-            if verdict sa <> verdict sb then
-              Alcotest.failf "seed %d jobs %d: controllability verdicts differ"
-                seed jobs
-        | Ok _, Error _ ->
-            Alcotest.failf "seed %d jobs %d: par empty, sequential not" seed
-              jobs
-        | Error _, Ok _ ->
-            Alcotest.failf "seed %d jobs %d: sequential empty, par not" seed
-              jobs)
-      [ 1; 4 ]
+      (fun (jobs, r) ->
+        check_against_reference
+          ~what:(Printf.sprintf "seed %d jobs %d" seed jobs)
+          ~plant ~spec r)
+      [ (1, r1); (4, r4) ];
+    check_jobs_invariant ~what:(Printf.sprintf "seed %d" seed) r1 r4;
+    match r1 with
+    | Ok (sup, _) ->
+        if Verify.controllable ~plant ~supervisor:sup <> Ok () then
+          Alcotest.failf "seed %d: supervisor not controllable" seed
+    | Error _ -> ()
   done
 
 let test_supcon_par_cluster_family () =
@@ -947,17 +1167,11 @@ let test_supcon_par_cluster_family () =
     (fun (k, cap) ->
       let plant = Compose.all (List.init k (fun i -> cluster_plant (i + 1))) in
       let spec = cluster_budget_spec ~k ~cap in
-      match
-        ( Synthesis.supcon ~plant ~spec,
-          Synthesis.supcon_par ~jobs:4 ~plant ~spec () )
-      with
-      | Ok (sa, ta), Ok (sb, tb) ->
-          check_string
-            (Printf.sprintf "k=%d digest identical" k)
-            (Automaton.structural_digest sa)
-            (Automaton.structural_digest sb);
-          check_bool (Printf.sprintf "k=%d stats identical" k) true (ta = tb)
-      | _ -> Alcotest.failf "k=%d: unexpected empty supervisor" k)
+      let what = Printf.sprintf "k=%d" k in
+      let r1 = Synthesis.supcon_par ~jobs:1 ~plant ~spec () in
+      let r4 = Synthesis.supcon_par ~jobs:4 ~plant ~spec () in
+      check_against_reference ~what ~plant ~spec r4;
+      check_jobs_invariant ~what r1 r4)
     [ (2, 1); (4, 3); (5, 4) ]
 
 (* Modular synthesis never materializes the composed plant; its result
@@ -987,8 +1201,8 @@ let test_supcon_modular_matches_monolithic () =
         [ 1; 4 ])
     [ (2, 1); (3, 2); (4, 3) ]
 
-(* Empty-supervisor edge case: the initial state is uncontrollably bad
-   on every path, sequential and parallel alike. *)
+(* Empty-supervisor edge case: the initial state is uncontrollably bad,
+   at every job count. *)
 let test_supcon_par_empty () =
   let breaks = Event.uncontrollable "par_breaks" in
   let plant =
@@ -1012,7 +1226,7 @@ let test_supcon_par_empty () =
 
 (* A spec-private uncontrollable event is not a plant escape: the plant
    cannot generate it, so disabling it is free.  Pinned against the
-   sequential engine, which encodes the same ownership rule. *)
+   string-native reference, which encodes the same ownership rule. *)
 let test_supcon_par_spec_private_uncontrollable () =
   let shared = Event.controllable "par_shared" in
   let private_u = Event.uncontrollable "par_spec_priv" in
@@ -1026,17 +1240,18 @@ let test_supcon_par_spec_private_uncontrollable () =
       ~transitions:[ ("S0", shared, "S1"); ("S1", private_u, "S0") ]
       ()
   in
-  match
-    (Synthesis.supcon ~plant ~spec, Synthesis.supcon_par ~jobs:4 ~plant ~spec ())
-  with
-  | Ok (sa, ta), Ok (sb, tb) ->
-      check_string "digest identical" (Automaton.structural_digest sa)
-        (Automaton.structural_digest sb);
-      check_bool "stats identical" true (ta = tb);
+  let r1 = Synthesis.supcon_par ~jobs:1 ~plant ~spec () in
+  let r4 = Synthesis.supcon_par ~jobs:4 ~plant ~spec () in
+  check_against_reference ~what:"spec-private" ~plant ~spec r4;
+  check_jobs_invariant ~what:"spec-private" r1 r4;
+  match r4 with
+  | Ok (sup, _) ->
       (* the private uncontrollable event must have survived synthesis *)
       check_bool "spec-private event kept" true
-        (Event.Set.mem private_u (Automaton.alphabet sb))
-  | _ -> Alcotest.fail "unexpected empty supervisor"
+        (Event.Set.mem private_u (Automaton.alphabet sup));
+      check_bool "its transition kept" true
+        (Automaton.accepts sup [ shared; private_u ])
+  | Error _ -> Alcotest.fail "unexpected empty supervisor"
 
 (* Reference for the mask-based Reach.trim: the pre-fix algorithm, which
    re-restricted the automaton and recomputed reachability every round. *)
@@ -1262,6 +1477,8 @@ let () =
             test_digest_deterministic;
           Alcotest.test_case "unescape_state_name" `Quick
             test_unescape_state_name;
+          Alcotest.test_case "names forced from two domains" `Quick
+            test_names_forced_from_two_domains;
         ] );
       ( "parallel-synthesis",
         [

@@ -135,8 +135,8 @@ let test_synthesized_supervisor_can_recover () =
 
 let test_supcon_par_pins_case_study () =
   (* The 21-state case-study supervisor, synthesized by the sharded
-     parallel engine at several job counts, must be byte-identical
-     (digest and stats) to the sequential fixture. *)
+     engine at several job counts, must be byte-identical (digest and
+     stats) to the [supcon] (jobs=1) fixture. *)
   let plant = Plant_model.composed () in
   let spec = Spec.three_band in
   match Synthesis.supcon ~plant ~spec with
