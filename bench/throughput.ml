@@ -4,7 +4,9 @@
 
    - the zero-allocation kernels themselves (Soc.step_into,
      Supervisor.step): steady-state bytes allocated per call must be
-     exactly zero, and the call cost is a few hundred nanoseconds;
+     exactly zero, and the call cost is a few hundred nanoseconds; so
+     must a whole warm SPECTR and SPECTR+G run through Scenario.tick
+     on each built-in platform shape (0 B/tick);
    - the one-shot scenario loop (platform + manager + trace): ticks/s
      and bytes/tick on a single domain;
    - the batch arena: many scenario cells fanned out across the domain
@@ -49,6 +51,45 @@ let gate_alloc name per_iter =
 
 (* --- kernel microbenches ---------------------------------------------- *)
 
+(* A whole x264 run of a warm SPECTR (or SPECTR+G) manager through
+   Scenario.tick, counting minor-heap words over the ticks only: the
+   budget is exactly zero. *)
+let scenario_gate ~guarded platform =
+  let make () =
+    let guards =
+      if guarded then
+        Some
+          (Spectr.Guarded.create ~clusters:(Platform_desc.num_clusters platform) ())
+      else None
+    in
+    fst (Spectr.Spectr_manager.make ?guards ~platform ())
+  in
+  ignore (make ());
+  let manager = make () in
+  let r =
+    Spectr.Scenario.start
+      (Spectr.Scenario.default_config ~platform Benchmarks.x264)
+  in
+  let w0 = Gc.minor_words () in
+  while Option.is_some (Spectr.Scenario.tick r ~manager) do
+    ()
+  done;
+  let w1 = Gc.minor_words () in
+  let per_tick =
+    (w1 -. w0) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Spectr.Scenario.ticks_done r)
+  in
+  let name =
+    Printf.sprintf "Scenario.tick (%s, %s)"
+      (if guarded then "SPECTR+G" else "SPECTR")
+      (Platform_desc.name platform)
+  in
+  if w1 -. w0 <> 0. then
+    failwith
+      (Printf.sprintf "throughput: %s allocates %.2f B/tick (budget: 0)" name
+         per_tick);
+  Printf.printf "  %-36s %5.2f B/tick  (budget 0)  PASS\n" name per_tick
+
 let kernel_section () =
   Util.subheading "tick kernel, steady state";
   let iters = if !smoke then 50_000 else 1_000_000 in
@@ -72,16 +113,31 @@ let kernel_section () =
     }
   in
   let sup = Spectr.Supervisor.create ~commands ~envelope:2.0 () in
-  for _ = 1 to 1_000 do
-    Spectr.Supervisor.step sup ~qos:30.0 ~qos_ref:30.0 ~power:1.5 ~envelope:2.0
-  done;
+  (* Measurements computed at run time, through the sample the managers
+     use: literal float arguments would be statically allocated boxes
+     and hide the boxing a real caller pays. *)
+  let sample = Spectr.Supervisor.sample () in
   let sup_step n =
-    for _ = 1 to n do
-      Spectr.Supervisor.step sup ~qos:30.0 ~qos_ref:30.0 ~power:1.5
-        ~envelope:2.0
+    for i = 1 to n do
+      let x = float_of_int (i land 63) in
+      sample.Spectr.Supervisor.qos <- 25. +. (0.2 *. x);
+      sample.Spectr.Supervisor.qos_ref <- 30.;
+      sample.Spectr.Supervisor.power <- 1.2 +. (0.02 *. x);
+      sample.Spectr.Supervisor.envelope <- 2.0;
+      Spectr.Supervisor.step_sample sup sample
     done
   in
+  sup_step 1_000;
   gate_alloc "Supervisor.step" (bytes_per_iter iters sup_step);
+  List.iter
+    (fun guarded ->
+      List.iter (scenario_gate ~guarded)
+        [
+          Platform_desc.exynos5422;
+          Platform_desc.pixel8pro;
+          Platform_desc.k_cluster 4;
+        ])
+    [ false; true ];
   if not !smoke then begin
     Printf.printf "  %-18s %6.0f ns/call\n" "Soc.step_into"
       (seconds_per_iter iters soc_step *. 1e9);

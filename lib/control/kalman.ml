@@ -35,13 +35,3 @@ let design ~a ~c ~qw ~rv =
 let correct ~l ~c ~xhat ~y =
   let innovation = Matrix.sub y (Matrix.mul c xhat) in
   Matrix.add xhat (Matrix.mul l innovation)
-
-(* Allocation-free [correct] for the tick path: same operations in the
-   same order, into caller-owned buffers.  [tmp_p] (p×1) holds C·x̂ then
-   the innovation; [tmp_n] (n×1) holds L·innovation.  [dst] must not
-   alias [xhat] or the scratch. *)
-let correct_into ~l ~c ~xhat ~y ~tmp_p ~tmp_n ~dst =
-  Matrix.mul_into ~dst:tmp_p c xhat;
-  Matrix.sub_into ~dst:tmp_p y tmp_p;
-  Matrix.mul_into ~dst:tmp_n l tmp_p;
-  Matrix.add_into ~dst xhat tmp_n

@@ -29,18 +29,7 @@ val design :
   (design, error) result
 
 val correct : l:Matrix.t -> c:Matrix.t -> xhat:Matrix.t -> y:Matrix.t -> Matrix.t
-(** Measurement update  x̂ ← x̂ + L (y − C x̂). *)
+(** Measurement update  x̂ ← x̂ + L (y − C x̂).  The tick path runs the
+    same update inside {!Mimo.step_into}'s fused kernel, operation for
+    operation; this allocating form is its reference. *)
 
-val correct_into :
-  l:Matrix.t ->
-  c:Matrix.t ->
-  xhat:Matrix.t ->
-  y:Matrix.t ->
-  tmp_p:Matrix.t ->
-  tmp_n:Matrix.t ->
-  dst:Matrix.t ->
-  unit
-(** {!correct} into caller-owned buffers — bit-identical results, zero
-    allocation.  [tmp_p] is p×1 scratch, [tmp_n] is n×1 scratch; [dst]
-    (n×1) receives the corrected state and must not alias [xhat] or the
-    scratch. *)

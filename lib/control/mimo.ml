@@ -14,36 +14,80 @@ let channel ?(offset = 0.) ?(scale = 1.) ?(min = neg_infinity)
   if min > max then invalid_arg "Mimo.channel: min > max";
   { name; offset; scale; min; max }
 
-type t = {
-  gains : (string * Lqg.gains) list;
-  mutable active : Lqg.gains;
-  inputs : channel array;
-  outputs : channel array;
-  refs : float array; (* physical reference values, mutable entries *)
+(* One gain set flattened for the tick kernel: the backing stores of
+   its matrices (row-major, see {!Matrix.data}; shared with the
+   immutable [Lqg.gains], never written) plus the integrator leak, and
+   the factored Gram matrix of its bumpless-transfer solve ([None] when
+   singular). *)
+type kernel = {
+  gains : Lqg.gains;
+  gram : Matrix.factored option;
+  ka : float array; (* A, n x n *)
+  kb : float array; (* B, n x m *)
+  kc : float array; (* C, p x n *)
+  kl : float array; (* L, n x p *)
+  kkx : float array; (* Kx, m x n *)
+  kkz : float array; (* Kz, m x p *)
+  leak : float;
+}
+
+let kernel_of g =
+  let model = g.Lqg.model in
+  let kz = g.Lqg.kz in
+  let kzt = Matrix.transpose kz in
+  let gram =
+    Matrix.add (Matrix.mul kzt kz)
+      (Matrix.scale 1e-9 (Matrix.identity (Matrix.cols kz)))
+  in
+  {
+    gains = g;
+    gram = (try Some (Matrix.factor gram) with Failure _ -> None);
+    ka = Matrix.data model.Statespace.a;
+    kb = Matrix.data model.Statespace.b;
+    kc = Matrix.data model.Statespace.c;
+    kl = Matrix.data g.Lqg.l;
+    kkx = Matrix.data g.Lqg.kx;
+    kkz = Matrix.data kz;
+    leak = g.Lqg.leak;
+  }
+
+(* The controller's scalars, in a record of floats only: OCaml stores
+   it flat, so the kernel reads and writes them unboxed (a float field
+   of the mixed record [t] is a pointer to a box). *)
+type scalars = {
   z_clamp : float;
-  mutable xhat : Matrix.t; (* n x 1 predicted state *)
-  mutable z : Matrix.t; (* p x 1 integrator *)
-  mutable u_prev : Matrix.t; (* m x 1 normalized previous command *)
-  (* Scratch for the allocation-free tick path (step_into): every
-     intermediate of the control law lives in one of these preallocated
-     column vectors.  Dimensions are fixed at create (all gain sets
-     agree on n, m, p). *)
-  scr_y : Matrix.t; (* p x 1 normalized measurements *)
-  scr_r : Matrix.t; (* p x 1 normalized references *)
-  scr_err : Matrix.t; (* p x 1 tracking error *)
-  scr_zc : Matrix.t; (* p x 1 integrator candidate *)
-  scr_p : Matrix.t; (* p x 1 Kalman innovation scratch *)
-  scr_xf : Matrix.t; (* n x 1 filtered state *)
-  scr_n1 : Matrix.t; (* n x 1 scratch *)
-  scr_n2 : Matrix.t; (* n x 1 scratch *)
-  scr_m1 : Matrix.t; (* m x 1 unsaturated command *)
-  scr_m2 : Matrix.t; (* m x 1 scratch *)
+  mutable innov : float;
+      (* ‖Kalman innovation‖₂ of the last step, in normalized output
+         units — the FDIR residual monitor's signal *)
+}
+
+type t = {
+  kernels : (string * kernel) list;
+  mutable active : kernel;
+  n : int;
+  m : int;
+  p : int;
+  (* Channel parameters unpacked into float arrays, so the kernel reads
+     them without chasing a boxed field per use. *)
+  in_off : float array;
+  in_scale : float array;
+  in_min : float array;
+  in_max : float array;
+  out_off : float array;
+  out_scale : float array;
+  refs : float array; (* physical reference values, mutable entries *)
+  sc : scalars;
+  xhat : float array; (* n, predicted state *)
+  z : float array; (* p, integrator *)
+  u_prev : float array; (* m, normalized previous command *)
+  (* Kernel scratch, overwritten every step. *)
+  y : float array; (* p, normalized measurements *)
+  r : float array; (* p, normalized references *)
+  e : float array; (* p, Kalman innovation y - C x̂ *)
+  zc : float array; (* p, integrator candidate *)
+  xf : float array; (* n, filtered state *)
+  cm : float array; (* m, integrator contribution at a gain switch *)
   last : float array; (* m, last physical command *)
-  innov : float array;
-      (* 1 entry: ‖Kalman innovation‖₂ of the last step, in normalized
-         output units — the FDIR residual monitor's signal.  A float
-         array (not a mutable float field) so the store stays unboxed in
-         this mixed record. *)
   mutable last_valid : bool;
 }
 
@@ -51,6 +95,23 @@ let dims g =
   ( Statespace.order g.Lqg.model,
     Statespace.num_inputs g.Lqg.model,
     Statespace.num_outputs g.Lqg.model )
+
+(* Every matrix of a gain set agrees with (n, m, p) — the only shape
+   check the kernel relies on, made once per gain set here. *)
+let check_shapes (n, m, p) g =
+  let model = g.Lqg.model in
+  let shape what mat rows cols =
+    if Matrix.rows mat <> rows || Matrix.cols mat <> cols then
+      invalid_arg
+        (Printf.sprintf "Mimo.create: %s of %S is %dx%d, expected %dx%d" what
+           g.Lqg.label (Matrix.rows mat) (Matrix.cols mat) rows cols)
+  in
+  shape "A" model.Statespace.a n n;
+  shape "B" model.Statespace.b n m;
+  shape "C" model.Statespace.c p n;
+  shape "L" g.Lqg.l n p;
+  shape "Kx" g.Lqg.kx m n;
+  shape "Kz" g.Lqg.kz m p
 
 let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
   if z_clamp <= 0. then invalid_arg "Mimo.create: z_clamp <= 0";
@@ -67,95 +128,128 @@ let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
   List.iter
     (fun g ->
       if dims g <> d0 then
-        invalid_arg "Mimo.create: gain sets disagree on dimensions")
+        invalid_arg "Mimo.create: gain sets disagree on dimensions";
+      check_shapes d0 g)
     gains;
   let n, m, p = d0 in
   if Array.length inputs <> m then invalid_arg "Mimo.create: inputs length";
   if Array.length outputs <> p then invalid_arg "Mimo.create: outputs length";
   if Array.length refs <> p then invalid_arg "Mimo.create: refs length";
+  let kernels = List.map (fun g -> (g.Lqg.label, kernel_of g)) gains in
   let active =
-    match List.find_opt (fun g -> g.Lqg.label = initial) gains with
-    | Some g -> g
+    match List.assoc_opt initial kernels with
+    | Some k -> k
     | None -> invalid_arg (Printf.sprintf "Mimo.create: unknown label %S" initial)
   in
+  let field f chs = Array.map f chs in
   {
-    gains = List.map (fun g -> (g.Lqg.label, g)) gains;
+    kernels;
     active;
-    inputs;
-    outputs;
+    n;
+    m;
+    p;
+    in_off = field (fun c -> c.offset) inputs;
+    in_scale = field (fun c -> c.scale) inputs;
+    in_min = field (fun c -> c.min) inputs;
+    in_max = field (fun c -> c.max) inputs;
+    out_off = field (fun c -> c.offset) outputs;
+    out_scale = field (fun c -> c.scale) outputs;
     refs = Array.copy refs;
-    z_clamp;
-    xhat = Matrix.zeros ~rows:n ~cols:1;
-    z = Matrix.zeros ~rows:p ~cols:1;
-    u_prev = Matrix.zeros ~rows:m ~cols:1;
-    scr_y = Matrix.zeros ~rows:p ~cols:1;
-    scr_r = Matrix.zeros ~rows:p ~cols:1;
-    scr_err = Matrix.zeros ~rows:p ~cols:1;
-    scr_zc = Matrix.zeros ~rows:p ~cols:1;
-    scr_p = Matrix.zeros ~rows:p ~cols:1;
-    scr_xf = Matrix.zeros ~rows:n ~cols:1;
-    scr_n1 = Matrix.zeros ~rows:n ~cols:1;
-    scr_n2 = Matrix.zeros ~rows:n ~cols:1;
-    scr_m1 = Matrix.zeros ~rows:m ~cols:1;
-    scr_m2 = Matrix.zeros ~rows:m ~cols:1;
+    sc = { z_clamp; innov = 0. };
+    xhat = Array.make n 0.;
+    z = Array.make p 0.;
+    u_prev = Array.make m 0.;
+    y = Array.make p 0.;
+    r = Array.make p 0.;
+    e = Array.make p 0.;
+    zc = Array.make p 0.;
+    xf = Array.make n 0.;
+    cm = Array.make m 0.;
     last = Array.make m 0.;
-    innov = Array.make 1 0.;
     last_valid = false;
   }
 
-let[@inline] normalize ch v = (v -. ch.offset) /. ch.scale
-let[@inline] denormalize ch v = (v *. ch.scale) +. ch.offset
-let[@inline] clamp ch v = Float.min ch.max (Float.max ch.min v)
+(* Unchecked float-array access for the kernel below: every index is
+   bounded by the dimensions checked once, when the gain sets and the
+   channels were installed ([create], [restore]), or by the argument
+   lengths checked on entry. *)
+(* Unchecked float-array access for the kernel below: every index is
+   bounded by the dimensions checked once, when the gain sets and the
+   channels were installed ([create], [restore]), or by the argument
+   lengths checked on entry. *)
+external ( .%() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .%()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
 
-(* The allocation-free control period: identical operations in identical
-   order to the historical allocating [step] (bit-identical commands —
-   the scenario CSV pins depend on it), but every intermediate lands in
-   a preallocated scratch vector and the command in the caller's [dst].
-   The one intentional difference: the C·x/D·u output equation of
-   {!Statespace.step}, whose result was always discarded, is skipped. *)
+(* Row [i] of the row-major [rows x cols] matrix [a] times [x], the way
+   [Matrix.mul] accumulates it: from [0.], in column order, skipping
+   exact-zero coefficients.  Inlined, so the sum never leaves a
+   register. *)
+let[@inline] row_dot a ~cols i x =
+  let acc = ref 0. in
+  for j = 0 to cols - 1 do
+    let g = a.%((i * cols) + j) in
+    if g <> 0. then acc := !acc +. (g *. x.%(j))
+  done;
+  !acc
+
+(* The control period as one flat kernel over the gain and state
+   arrays.  Its contract is operation-for-operation identity with the
+   matrix formulation it replaced (and which test/test_kernel.ml keeps
+   as the reference), so every trace stays bit-identical:
+
+   - every matrix-vector product is [row_dot], i.e. [Matrix.mul]'s
+     accumulation;
+   - every sum keeps its operand order (x̂ + L·e, Kx·x + Kz·z, A·x + B·u);
+   - saturation and integrator clamping use [Float.min]/[Float.max] in
+     the same nesting, which fixes the NaN and signed-zero results.
+
+   The C·x/D·u output equation of the plant model, whose result the
+   control law never used, is not evaluated. *)
 let step_into ctrl ~measured ~dst =
-  let g = ctrl.active in
-  let model = g.Lqg.model in
-  let p = Statespace.num_outputs model in
-  let m = Statespace.num_inputs model in
+  let n = ctrl.n and m = ctrl.m and p = ctrl.p in
   if Array.length measured <> p then invalid_arg "Mimo.step: measured length";
   if Array.length dst <> m then invalid_arg "Mimo.step_into: dst length";
+  let k = ctrl.active in
+  let xhat = ctrl.xhat and z = ctrl.z and u_prev = ctrl.u_prev in
+  let y = ctrl.y and r = ctrl.r and e = ctrl.e in
+  let zc = ctrl.zc and xf = ctrl.xf in
   (* 1. normalize measurements and references *)
-  let yd = Matrix.data ctrl.scr_y and rd = Matrix.data ctrl.scr_r in
   for i = 0 to p - 1 do
-    yd.(i) <- normalize ctrl.outputs.(i) measured.(i);
-    rd.(i) <- normalize ctrl.outputs.(i) ctrl.refs.(i)
+    y.%(i) <- (measured.%(i) -. ctrl.out_off.%(i)) /. ctrl.out_scale.%(i);
+    r.%(i) <- (ctrl.refs.%(i) -. ctrl.out_off.%(i)) /. ctrl.out_scale.%(i)
   done;
-  (* 2. Kalman measurement update on the predicted state *)
-  Kalman.correct_into ~l:g.Lqg.l ~c:model.Statespace.c ~xhat:ctrl.xhat
-    ~y:ctrl.scr_y ~tmp_p:ctrl.scr_p ~tmp_n:ctrl.scr_n1 ~dst:ctrl.scr_xf;
-  (* [correct_into] leaves the innovation y − C·x̂ in [scr_p]; its norm
-     is the model-consistency residual the FDIR layer watches.  Pure
-     extra reads — no draw, no store the control law observes. *)
-  let pd = Matrix.data ctrl.scr_p in
+  (* 2. Kalman measurement update on the predicted state:
+        e = y − C·x̂, x_f = x̂ + L·e *)
+  for i = 0 to p - 1 do
+    e.%(i) <- y.%(i) -. row_dot k.kc ~cols:n i xhat
+  done;
+  for i = 0 to n - 1 do
+    xf.%(i) <- xhat.%(i) +. row_dot k.kl ~cols:p i e
+  done;
+  (* The innovation's norm is the model-consistency residual the FDIR
+     layer watches: extra reads only, nothing the control law sees. *)
   let s2 = ref 0. in
   for i = 0 to p - 1 do
-    s2 := !s2 +. (pd.(i) *. pd.(i))
+    s2 := !s2 +. (e.%(i) *. e.%(i))
   done;
-  ctrl.innov.(0) <- Float.sqrt !s2;
+  ctrl.sc.innov <- Float.sqrt !s2;
   (* 3. integrator update with the current tracking error (conditional
         anti-windup applied after saturation below) *)
-  Matrix.sub_into ~dst:ctrl.scr_err ctrl.scr_r ctrl.scr_y;
-  Matrix.scale_into ~dst:ctrl.scr_zc g.Lqg.leak ctrl.z;
-  Matrix.add_into ~dst:ctrl.scr_zc ctrl.scr_zc ctrl.scr_err;
-  (* 4. feedback law on normalized deviations *)
-  Matrix.mul_into ~dst:ctrl.scr_m1 g.Lqg.kx ctrl.scr_xf;
-  Matrix.mul_into ~dst:ctrl.scr_m2 g.Lqg.kz ctrl.scr_zc;
-  Matrix.add_into ~dst:ctrl.scr_m1 ctrl.scr_m1 ctrl.scr_m2;
-  Matrix.neg_into ~dst:ctrl.scr_m1 ctrl.scr_m1;
-  (* 5. saturate in physical units; keep the normalized saturated
+  let leak = k.leak in
+  for i = 0 to p - 1 do
+    zc.%(i) <- (leak *. z.%(i)) +. (r.%(i) -. y.%(i))
+  done;
+  (* 4. feedback law on normalized deviations, u = −(Kx·x_f + Kz·z_c);
+     5. saturate in physical units, keeping the normalized saturated
         command for the time update *)
-  let ud = Matrix.data ctrl.scr_m1 in
-  let und = Matrix.data ctrl.u_prev in
   for i = 0 to m - 1 do
-    let ch = ctrl.inputs.(i) in
-    dst.(i) <- clamp ch (denormalize ch ud.(i));
-    und.(i) <- normalize ch dst.(i)
+    let u = -.(row_dot k.kkx ~cols:n i xf +. row_dot k.kkz ~cols:p i zc) in
+    let v =
+      Float.min ctrl.in_max.%(i)
+        (Float.max ctrl.in_min.%(i) ((u *. ctrl.in_scale.%(i)) +. ctrl.in_off.%(i)))
+    in
+    dst.%(i) <- v;
+    u_prev.%(i) <- (v -. ctrl.in_off.%(i)) /. ctrl.in_scale.%(i)
   done;
   (* 6. anti-windup by integrator clamping: each integrator state is
         bounded to ±z_clamp (normalized units).  During an infeasible
@@ -163,52 +257,72 @@ let step_into ctrl ~measured ~dst =
         command, which is the desired behaviour for a prioritized
         objective — and unwinding after recovery takes a bounded number
         of periods instead of growing with the infeasible duration. *)
-  let zcd = Matrix.data ctrl.scr_zc and zd = Matrix.data ctrl.z in
+  let zmax = ctrl.sc.z_clamp in
   for i = 0 to p - 1 do
-    zd.(i) <- Float.max (-.ctrl.z_clamp) (Float.min ctrl.z_clamp zcd.(i))
+    z.%(i) <- Float.max (-.zmax) (Float.min zmax zc.%(i))
   done;
-  (* 7. time update with the saturated command: x' = A·x̂ + B·u *)
-  Matrix.mul_into ~dst:ctrl.scr_n1 model.Statespace.a ctrl.scr_xf;
-  Matrix.mul_into ~dst:ctrl.scr_n2 model.Statespace.b ctrl.u_prev;
-  Matrix.add_into ~dst:ctrl.xhat ctrl.scr_n1 ctrl.scr_n2;
+  (* 7. time update with the saturated command: x' = A·x_f + B·u *)
+  for i = 0 to n - 1 do
+    xhat.%(i) <- row_dot k.ka ~cols:n i xf +. row_dot k.kb ~cols:m i u_prev
+  done;
   Array.blit dst 0 ctrl.last 0 m;
   ctrl.last_valid <- true
 
 let step ctrl ~measured =
-  let dst = Array.make (Statespace.num_inputs ctrl.active.Lqg.model) 0. in
+  let dst = Array.make ctrl.m 0. in
   step_into ctrl ~measured ~dst;
   dst
 
+(* Bumpless transfer: the integrator contribution to the command must be
+   continuous across the switch, so solve Kz_new · z_new = Kz_old · z_old
+   in the least-squares sense — (Kz_newᵀ Kz_new + 10⁻⁹ I) z_new =
+   Kz_newᵀ (Kz_old z_old).  Without this, a wound integrator
+   reinterpreted under different gains slams the actuators and can
+   limit-cycle the supervisor.  The products below follow [Matrix.mul]
+   ([row_dot], and its transpose for Kz_newᵀ) and the Gram matrix was
+   factored when the gain set was installed, so the switch is
+   bit-identical to the matrix formulation and allocates nothing; a
+   singular Gram matrix leaves the integrators as they are. *)
 let switch_gains ctrl label =
-  match List.assoc_opt label ctrl.gains with
-  | None ->
+  (* [List.assoc], not [assoc_opt]: the option would be an allocation. *)
+  match List.assoc label ctrl.kernels with
+  | exception Not_found ->
       invalid_arg (Printf.sprintf "Mimo.switch_gains: unknown label %S" label)
-  | Some g when g == ctrl.active -> ()
-  | Some g ->
-      (* Bumpless transfer: the integrator contribution to the command
-         must be continuous across the switch, so solve
-         Kz_new · z_new = Kz_old · z_old in the least-squares sense.
-         Without this, a wound integrator reinterpreted under different
-         gains slams the actuators and can limit-cycle the supervisor. *)
-      let contribution = Matrix.mul ctrl.active.Lqg.kz ctrl.z in
-      let kz = g.Lqg.kz in
-      let kzt = Matrix.transpose kz in
-      let p = Matrix.rows ctrl.z in
-      let gram =
-        Matrix.add (Matrix.mul kzt kz) (Matrix.scale 1e-9 (Matrix.identity p))
-      in
-      (match Matrix.solve gram (Matrix.mul kzt contribution) with
-      | z_new -> ctrl.z <- z_new
-      | exception Failure _ -> ());
-      ctrl.active <- g
+  | k when k == ctrl.active -> ()
+  | k ->
+      (match k.gram with
+      | None -> ()
+      | Some gram ->
+          let m = ctrl.m and p = ctrl.p in
+          let z = ctrl.z and cm = ctrl.cm in
+          let kz_old = ctrl.active.kkz and kz = k.kkz in
+          for i = 0 to m - 1 do
+            cm.(i) <- row_dot kz_old ~cols:p i z
+          done;
+          (* z ← Kz_newᵀ · cm, then solved in place *)
+          for i = 0 to p - 1 do
+            let acc = ref 0. in
+            for j = 0 to m - 1 do
+              let g = kz.((j * p) + i) in
+              if g <> 0. then acc := !acc +. (g *. cm.(j))
+            done;
+            z.(i) <- !acc
+          done;
+          Matrix.solve_factored gram z);
+      ctrl.active <- k
 
-let current_gains ctrl = ctrl.active.Lqg.label
-let available_gains ctrl = List.map fst ctrl.gains
+let current_gains ctrl = ctrl.active.gains.Lqg.label
+let available_gains ctrl = List.map fst ctrl.kernels
 
 let set_reference ctrl ~index value =
   if index < 0 || index >= Array.length ctrl.refs then
     invalid_arg "Mimo.set_reference: index";
   ctrl.refs.(index) <- value
+
+let set_reference_at ctrl ~index src i =
+  if index < 0 || index >= Array.length ctrl.refs then
+    invalid_arg "Mimo.set_reference: index";
+  ctrl.refs.(index) <- src.(i)
 
 let reference ctrl ~index =
   if index < 0 || index >= Array.length ctrl.refs then
@@ -216,16 +330,15 @@ let reference ctrl ~index =
   ctrl.refs.(index)
 
 let reset ctrl =
-  let n, m, p = dims ctrl.active in
-  ctrl.xhat <- Matrix.zeros ~rows:n ~cols:1;
-  ctrl.z <- Matrix.zeros ~rows:p ~cols:1;
-  ctrl.u_prev <- Matrix.zeros ~rows:m ~cols:1;
-  ctrl.innov.(0) <- 0.;
+  Array.fill ctrl.xhat 0 ctrl.n 0.;
+  Array.fill ctrl.z 0 ctrl.p 0.;
+  Array.fill ctrl.u_prev 0 ctrl.m 0.;
+  ctrl.sc.innov <- 0.;
   ctrl.last_valid <- false
 
-let num_inputs ctrl = Array.length ctrl.inputs
-let num_outputs ctrl = Array.length ctrl.outputs
-let last_innovation_norm ctrl = ctrl.innov.(0)
+let num_inputs ctrl = ctrl.m
+let num_outputs ctrl = ctrl.p
+let last_innovation_norm ctrl = ctrl.sc.innov
 
 let last_command ctrl =
   if ctrl.last_valid then Some (Array.copy ctrl.last) else None
@@ -239,38 +352,49 @@ type snapshot = {
   snap_last : float array option;
 }
 
+(* State vectors travel as n x 1 row arrays (the checkpoint format of the
+   matrix-backed controller). *)
+let column v = Array.map (fun x -> [| x |]) v
+
 let snapshot ctrl =
   {
-    snap_active = ctrl.active.Lqg.label;
+    snap_active = current_gains ctrl;
     snap_refs = Array.copy ctrl.refs;
-    snap_xhat = Matrix.to_arrays ctrl.xhat;
-    snap_z = Matrix.to_arrays ctrl.z;
-    snap_u_prev = Matrix.to_arrays ctrl.u_prev;
+    snap_xhat = column ctrl.xhat;
+    snap_z = column ctrl.z;
+    snap_u_prev = column ctrl.u_prev;
     snap_last = (if ctrl.last_valid then Some (Array.copy ctrl.last) else None);
   }
 
 let restore ctrl s =
-  (match List.assoc_opt s.snap_active ctrl.gains with
-  | Some g -> ctrl.active <- g
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Mimo.restore: unknown gain label %S" s.snap_active));
+  let k =
+    match List.assoc_opt s.snap_active ctrl.kernels with
+    | Some k -> k
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Mimo.restore: unknown gain label %S" s.snap_active)
+  in
   if Array.length s.snap_refs <> Array.length ctrl.refs then
     invalid_arg "Mimo.restore: refs length";
-  Array.blit s.snap_refs 0 ctrl.refs 0 (Array.length ctrl.refs);
-  let n, m, p = dims ctrl.active in
-  let shape what rows a =
-    let mat = Matrix.of_arrays a in
-    if Matrix.rows mat <> rows || Matrix.cols mat <> 1 then
-      invalid_arg ("Mimo.restore: " ^ what ^ " shape");
-    mat
+  let check what len a =
+    if Array.length a <> len || Array.exists (fun r -> Array.length r <> 1) a
+    then invalid_arg ("Mimo.restore: " ^ what ^ " shape")
   in
-  ctrl.xhat <- shape "xhat" n s.snap_xhat;
-  ctrl.z <- shape "z" p s.snap_z;
-  ctrl.u_prev <- shape "u_prev" m s.snap_u_prev;
+  check "xhat" ctrl.n s.snap_xhat;
+  check "z" ctrl.p s.snap_z;
+  check "u_prev" ctrl.m s.snap_u_prev;
+  (match s.snap_last with
+  | Some a when Array.length a <> ctrl.m ->
+      invalid_arg "Mimo.restore: last shape"
+  | _ -> ());
+  ctrl.active <- k;
+  Array.blit s.snap_refs 0 ctrl.refs 0 (Array.length ctrl.refs);
+  let load dst a = Array.iteri (fun i r -> dst.(i) <- r.(0)) a in
+  load ctrl.xhat s.snap_xhat;
+  load ctrl.z s.snap_z;
+  load ctrl.u_prev s.snap_u_prev;
   match s.snap_last with
   | None -> ctrl.last_valid <- false
   | Some a ->
-      if Array.length a <> m then invalid_arg "Mimo.restore: last shape";
-      Array.blit a 0 ctrl.last 0 m;
+      Array.blit a 0 ctrl.last 0 ctrl.m;
       ctrl.last_valid <- true

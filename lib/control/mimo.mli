@@ -69,8 +69,9 @@ val switch_gains : t -> string -> unit
 (** Gain scheduling: point the controller at a different stored gain set.
     Controller state (estimate and integrators) is preserved, so the
     switch is bumpless and costs O(1) — "changing the coefficient arrays
-    at runtime takes effect immediately" (§5.3).  Raises
-    [Invalid_argument] on an unknown label. *)
+    at runtime takes effect immediately" (§5.3): the integrators are
+    re-solved against a factorization prepared at {!create}, without
+    allocating.  Raises [Invalid_argument] on an unknown label. *)
 
 val current_gains : t -> string
 (** Label of the active gain set. *)
@@ -80,6 +81,11 @@ val available_gains : t -> string list
 val set_reference : t -> index:int -> float -> unit
 (** Reference regulation: update one physical reference value (e.g. the
     supervisor lowering a cluster's power budget). *)
+
+val set_reference_at : t -> index:int -> float array -> int -> unit
+(** [set_reference_at c ~index src i] is [set_reference c ~index src.(i)]
+    with the value read from a float array, so that it crosses the
+    module boundary unboxed (the supervisor's rebudget path). *)
 
 val reference : t -> index:int -> float
 

@@ -23,8 +23,8 @@ let make ?(seed = 17L) () =
     Mimo.step_into ctrl ~measured:meas ~dst:u;
     (* Exynos cluster indices: FS is identified on the reference
        big.LITTLE platform only (Scenario rejects it elsewhere). *)
-    Manager.apply_cluster_quiet soc 0 ~freq_ghz:u.(0) ~cores:u.(1);
-    Manager.apply_cluster_quiet soc 1 ~freq_ghz:u.(2) ~cores:u.(3)
+    ignore (Manager.apply_command soc 0 u ~pos:0 : bool);
+    ignore (Manager.apply_command soc 1 u ~pos:2 : bool)
   in
   let persist =
     {

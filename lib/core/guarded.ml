@@ -36,13 +36,19 @@ let default_config =
     recover_count = 10;
   }
 
-type channel = {
-  cfg : channel_config;
+(* A channel's float state, in a record of floats only: OCaml stores it
+   flat, so the per-period filter updates it unboxed. *)
+type levels = {
   mutable last_good : float;
-  mutable have_good : bool;
-  mutable suspects : int;
   mutable suspect_value : float; (* last off-trend candidate level *)
   mutable last_raw : float;
+}
+
+type channel = {
+  cfg : channel_config;
+  lv : levels;
+  mutable have_good : bool;
+  mutable suspects : int;
   mutable same_streak : int;
   mutable masked : bool;
       (* A masked channel belongs to a cluster the reconfiguration
@@ -55,60 +61,66 @@ type channel = {
 let make_channel cfg =
   {
     cfg;
-    last_good = 0.;
+    lv = { last_good = 0.; suspect_value = nan; last_raw = nan };
     have_good = false;
     suspects = 0;
-    suspect_value = nan;
-    last_raw = nan;
     same_streak = 0;
     masked = false;
   }
 
-(* Classify one sample; returns the value to hand to the controller
-   (always finite once a good sample has been seen). *)
-let channel_filter ch v =
-  if ch.masked then (0., true)
-  else
-  let cfg = ch.cfg in
-  (* Stuck detection: real sensors are noisy, so a long bit-identical
-     streak is a fault, not a coincidence. *)
-  if Float.is_finite v && v = ch.last_raw then
-    ch.same_streak <- ch.same_streak + 1
-  else ch.same_streak <- 1;
-  ch.last_raw <- v;
-  let accept value =
-    ch.last_good <- value;
-    ch.have_good <- true;
-    ch.suspects <- 0;
-    (value, true)
-  in
-  let reject () =
-    let substitute =
-      if ch.have_good then ch.last_good
-      else Float.max cfg.lo (Float.min cfg.hi 0.)
-    in
-    (substitute, false)
-  in
-  if not (Float.is_finite v) then reject ()
-  else if v < cfg.lo || v > cfg.hi then reject ()
-  else if ch.same_streak >= cfg.stuck_count then reject ()
-  else if ch.have_good && abs_float (v -. ch.last_good) > cfg.max_step then begin
-    (* Off-trend but in range: a spike for a few samples, a genuine
-       level shift if it persists.  Only samples that agree with the
-       previous off-trend candidate count toward acceptance — a real
-       shift settles at one new level, while scattered spikes disagree
-       with the genuine readings between them and keep restarting the
-       count, so a spike is never adopted as the new level. *)
-    if ch.suspects > 0 && abs_float (v -. ch.suspect_value) <= cfg.max_step
-    then ch.suspects <- ch.suspects + 1
-    else ch.suspects <- 1;
-    ch.suspect_value <- v;
-    if ch.suspects >= cfg.suspect_limit then accept v else reject ()
+(* Classify one sample [v]: write the value to hand to the controller
+   into [dst.(i)] (always finite once a good sample has been seen) and
+   return whether [v] itself was accepted.  Inlined into the filter, so
+   [v] is never boxed. *)
+let[@inline] channel_filter ch v dst i =
+  if ch.masked then begin
+    dst.(i) <- 0.;
+    true
   end
-  else accept v
+  else begin
+    let cfg = ch.cfg and lv = ch.lv in
+    (* Stuck detection: real sensors are noisy, so a long bit-identical
+       streak is a fault, not a coincidence. *)
+    if Float.is_finite v && v = lv.last_raw then
+      ch.same_streak <- ch.same_streak + 1
+    else ch.same_streak <- 1;
+    lv.last_raw <- v;
+    let accepted =
+      if not (Float.is_finite v) then false
+      else if v < cfg.lo || v > cfg.hi then false
+      else if ch.same_streak >= cfg.stuck_count then false
+      else if ch.have_good && abs_float (v -. lv.last_good) > cfg.max_step
+      then begin
+        (* Off-trend but in range: a spike for a few samples, a genuine
+           level shift if it persists.  Only samples that agree with the
+           previous off-trend candidate count toward acceptance — a real
+           shift settles at one new level, while scattered spikes
+           disagree with the genuine readings between them and keep
+           restarting the count, so a spike is never adopted as the new
+           level. *)
+        if ch.suspects > 0 && abs_float (v -. lv.suspect_value) <= cfg.max_step
+        then ch.suspects <- ch.suspects + 1
+        else ch.suspects <- 1;
+        lv.suspect_value <- v;
+        ch.suspects >= cfg.suspect_limit
+      end
+      else true
+    in
+    if accepted then begin
+      lv.last_good <- v;
+      ch.have_good <- true;
+      ch.suspects <- 0;
+      dst.(i) <- v
+    end
+    else
+      dst.(i) <-
+        (if ch.have_good then lv.last_good
+         else Float.max cfg.lo (Float.min cfg.hi 0.));
+    accepted
+  end
 
 type filtered = {
-  mutable qos : float;
+  qos : float array; (* 1 entry *)
   powers : float array; (* per-cluster, owned by the guard *)
   mutable healthy : bool;
 }
@@ -136,7 +148,7 @@ let create ?(config = default_config) ?(clusters = 2) () =
     qos_ch = make_channel config.qos;
     power_chs = Array.init clusters (fun _ -> make_channel config.power);
     filtered =
-      { qos = 0.; powers = Array.make clusters 0.; healthy = false };
+      { qos = [| 0. |]; powers = Array.make clusters 0.; healthy = false };
     sensor_bad_streak = 0;
     actuator_bad_streak = 0;
     good_streak = 0;
@@ -160,7 +172,7 @@ let set_power_masked t ~cluster on =
        not trip the watchdog on the first live reading. *)
     ch.suspects <- 0;
     ch.same_streak <- 0;
-    ch.last_raw <- nan;
+    ch.lv.last_raw <- nan;
     ch.have_good <- false
   end
 
@@ -221,19 +233,16 @@ let update_watchdog t ~now =
    order — on the 2-cluster platform exactly the old qos/big/little
    sequence, so the per-channel state evolution is unchanged.  The
    result lives in the guard-owned [filtered] buffer: the tick path
-   reads it before the next call, and the old per-call record was the
-   one allocation left on the guarded manager's hot path. *)
-let filter t ~now ~qos ~powers =
+   reads it before the next call.  Inlined into both entry points below,
+   so the QoS reading reaches the channel filter unboxed. *)
+let[@inline] filter_impl t ~now qos powers =
   if Array.length powers <> Array.length t.power_chs then
     invalid_arg "Guarded.filter: power reading count <> cluster count";
   t.total <- t.total + 1;
-  let qos, qos_ok = channel_filter t.qos_ch qos in
   let f = t.filtered in
-  f.qos <- qos;
-  let all_ok = ref qos_ok in
+  let all_ok = ref (channel_filter t.qos_ch qos f.qos 0) in
   for i = 0 to Array.length t.power_chs - 1 do
-    let v, ok = channel_filter t.power_chs.(i) powers.(i) in
-    f.powers.(i) <- v;
+    let ok = channel_filter t.power_chs.(i) powers.(i) f.powers i in
     all_ok := !all_ok && ok
   done;
   let healthy = !all_ok in
@@ -259,6 +268,11 @@ let filter t ~now ~qos ~powers =
     Obs.Counters.set g_fallback_ticks (float_of_int t.fb_ticks)
   end;
   f
+
+let filter t ~now ~qos ~powers = filter_impl t ~now qos powers
+
+let filter_obs t ~now (obs : Spectr_platform.Soc.observation) ~powers =
+  filter_impl t ~now obs.Spectr_platform.Soc.qos_rate powers
 
 type channel_snapshot = {
   snap_last_good : float;
@@ -286,21 +300,21 @@ type snapshot = {
 
 let snapshot_channel ch =
   {
-    snap_last_good = ch.last_good;
+    snap_last_good = ch.lv.last_good;
     snap_have_good = ch.have_good;
     snap_suspects = ch.suspects;
-    snap_suspect_value = ch.suspect_value;
-    snap_last_raw = ch.last_raw;
+    snap_suspect_value = ch.lv.suspect_value;
+    snap_last_raw = ch.lv.last_raw;
     snap_same_streak = ch.same_streak;
     snap_masked = ch.masked;
   }
 
 let restore_channel ch s =
-  ch.last_good <- s.snap_last_good;
+  ch.lv.last_good <- s.snap_last_good;
   ch.have_good <- s.snap_have_good;
   ch.suspects <- s.snap_suspects;
-  ch.suspect_value <- s.snap_suspect_value;
-  ch.last_raw <- s.snap_last_raw;
+  ch.lv.suspect_value <- s.snap_suspect_value;
+  ch.lv.last_raw <- s.snap_last_raw;
   ch.same_streak <- s.snap_same_streak;
   ch.masked <- s.snap_masked
 

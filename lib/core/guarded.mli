@@ -61,7 +61,9 @@ val clusters : t -> int
 (** {1 Per-period protocol} *)
 
 type filtered = {
-  mutable qos : float;
+  qos : float array;
+      (** One entry: the sanitized QoS (a float array, so the guard
+          stores it unboxed). *)
   powers : float array;
       (** Per-cluster sanitized powers, description order. *)
   mutable healthy : bool;
@@ -70,10 +72,20 @@ type filtered = {
 
 val filter : t -> now:float -> qos:float -> powers:float array -> filtered
 (** Sanitize one observation (QoS plus one power reading per cluster)
-    and advance the sensor side of the watchdog.  Every returned field
+    and advance the sensor side of the watchdog.  Every returned value
     is finite.  The result is a guard-owned buffer overwritten by the
     next call — read it before then.  Raises [Invalid_argument] when
     [powers] does not have exactly {!clusters} entries. *)
+
+val filter_obs :
+  t ->
+  now:float ->
+  Spectr_platform.Soc.observation ->
+  powers:float array ->
+  filtered
+(** {!filter} with the QoS reading taken from the observation's
+    [qos_rate] — the guarded managers' tick path: no float is boxed for
+    the call, so it allocates nothing. *)
 
 val note_actuation : t -> now:float -> ok:bool -> unit
 (** Report whether the platform applied the last command as expected

@@ -72,52 +72,51 @@ let load_checkpoint ~path =
 
 type applied = { freq_mhz : int; cores : int }
 
-(* Controller outputs can be garbage (a diverged integrator, a NaN from a
-   corrupted measurement).  Non-finite or negative commands must clamp to
-   the nearest legal value — NaN conservatively to the low end — instead
-   of silently becoming 0 cores (which `int_of_float nan` produces). *)
-let sanitize_freq_mhz table freq_ghz =
-  let f_mhz = freq_ghz *. 1000. in
-  if Float.is_nan f_mhz then float_of_int (Opp.min_freq table)
-  else if f_mhz = Float.infinity then float_of_int (Opp.max_freq table)
-  else if f_mhz = Float.neg_infinity || f_mhz < 0. then
-    float_of_int (Opp.min_freq table)
-  else f_mhz
-
-let sanitize_cores ?(max_cores = 4) cores =
+(* Non-finite or out-of-range core commands clamp to the nearest legal
+   count — NaN conservatively to 1 — instead of silently becoming 0
+   cores (which [int_of_float nan] produces). *)
+let[@inline] cores_of ~max_cores cores =
   if Float.is_nan cores then 1
   else
     int_of_float
       (Float.round (Float.max 1. (Float.min (float_of_int max_cores) cores)))
 
-(* Tick-path actuation: sanitize, quantize and apply, nothing else — no
-   applied-record, no log message (even an unemitted [Log.debug] call
-   allocates its message closure).  Managers that do not consume the
-   readback use this one.  [cluster] is the platform cluster index. *)
-let apply_cluster_quiet soc cluster ~freq_ghz ~cores =
+let sanitize_cores ?(max_cores = 4) cores = cores_of ~max_cores cores
+
+(* The one actuation path: sanitize, quantize and apply, nothing else.
+   The command is read from the controller's float array, so no float
+   crosses a module boundary boxed; the OPP travels to the SoC as an
+   int.  [cluster] is the platform cluster index. *)
+let apply_command soc cluster cmd ~pos =
+  let cores = cmd.(pos + 1) in
   Obs.Counters.incr c_actuations;
   (if Obs.enabled () then
      (* Count commands in the garbage class the sanitizers exist for:
         non-finite or negative, not mere range clamping. *)
-     let f_mhz = freq_ghz *. 1000. in
+     let f_mhz = cmd.(pos) *. 1000. in
      if (not (Float.is_finite f_mhz)) || f_mhz < 0. || Float.is_nan cores then
        Obs.Counters.incr c_sanitized);
-  let table = Soc.opp_table soc cluster in
-  ignore
-    (Soc.set_frequency soc cluster (sanitize_freq_mhz table freq_ghz) : int);
-  Soc.set_active_cores soc cluster
-    (sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster) cores)
+  let freq = Opp.resolve (Soc.opp_table soc cluster) cmd pos in
+  let applied_freq = Soc.set_opp soc cluster freq in
+  let n = cores_of ~max_cores:(Soc.cluster_cores soc cluster) cores in
+  Soc.set_active_cores soc cluster n;
+  applied_freq = freq && Soc.active_cores soc cluster = n
 
 let apply_cluster soc cluster ~freq_ghz ~cores =
-  apply_cluster_quiet soc cluster ~freq_ghz ~cores;
+  ignore (apply_command soc cluster [| freq_ghz; cores |] ~pos:0 : bool);
   let applied =
     {
       freq_mhz = Soc.frequency soc cluster;
       cores = Soc.active_cores soc cluster;
     }
   in
-  Log.debug (fun m ->
-      m "%s: commanded %.3f GHz / %.2f cores, applied %d MHz / %d cores"
-        (Platform_desc.cluster_name (Soc.platform soc) cluster)
-        freq_ghz cores applied.freq_mhz applied.cores);
+  (* Guarded: [Log.debug]'s message closure would be allocated on every
+     actuation even with the level off. *)
+  (match Logs.Src.level src with
+  | Some Logs.Debug ->
+      Log.debug (fun m ->
+          m "%s: commanded %.3f GHz / %.2f cores, applied %d MHz / %d cores"
+            (Platform_desc.cluster_name (Soc.platform soc) cluster)
+            freq_ghz cores applied.freq_mhz applied.cores)
+  | _ -> ());
   applied

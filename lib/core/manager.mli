@@ -59,34 +59,29 @@ val load_checkpoint : path:string -> checkpoint
 (** Raises [Invalid_argument] when the file is not a checkpoint
     (bad magic, truncation); [Sys_error] on I/O failure. *)
 
-val sanitize_freq_mhz : Spectr_platform.Opp.t -> float -> float
-(** The frequency a [freq_ghz] command will be quantized from, in MHz:
-    non-finite and negative values clamp to the table's legal range
-    (NaN conservatively to the minimum OPP). *)
-
 val sanitize_cores : ?max_cores:int -> float -> int
 (** The core count a [cores] command resolves to: clamped to
     [1, max_cores] (default 4), NaN conservatively to 1. *)
 
+val apply_command : Soc.t -> int -> float array -> pos:int -> bool
+(** [apply_command soc cluster cmd ~pos] applies the command pair
+    [cmd.(pos)] (frequency, GHz) and [cmd.(pos + 1)] (core count) to one
+    cluster, addressed by its platform description index: sanitize
+    (non-finite or negative commands clamp to the nearest legal value,
+    NaN conservatively to the low end; core commands clamp to the
+    cluster's physical core count), quantize to an OPP and apply.
+    Returns whether the cluster obeyed: the frequency and core count
+    read back equal the sanitized, quantized request.  Under an actuator
+    fault they differ — that is how the guarded manager detects stuck
+    actuators.  The tick path's actuator: taking the command as a float
+    array, it allocates nothing. *)
+
 type applied = { freq_mhz : int; cores : int }
 (** What the platform actually did with a command: the quantized OPP
     returned by {!Spectr_platform.Soc.set_frequency} and the core count
-    read back after gating.  Under an actuator fault these differ from
-    the request — comparing them against the expectation is how the
-    guarded manager detects stuck actuators. *)
+    read back after gating. *)
 
 val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> applied
-(** Helper shared by all managers: sanitize (non-finite or negative
-    commands clamp to the nearest legal value, NaN conservatively to the
-    low end), quantize and apply a (frequency GHz, core count) command
-    pair to one cluster — addressed by its platform description index —
-    and return what was actually applied.  Core commands clamp to the
-    cluster's physical core count.  The applied settings are logged at
-    debug level on the ["spectr.manager"] source. *)
-
-val apply_cluster_quiet : Soc.t -> int -> freq_ghz:float -> cores:float -> unit
-(** {!apply_cluster} for the tick path: identical sanitize/quantize/apply
-    behaviour, but no readback record and no debug log (whose message
-    closure allocates even when the level is off).  For managers that do
-    not consume the readback — the guarded actuation check wants
-    {!apply_cluster}. *)
+(** {!apply_command} for a (frequency GHz, core count) pair passed as
+    floats, returning what was actually applied.  The applied settings
+    are logged at debug level on the ["spectr.manager"] source. *)

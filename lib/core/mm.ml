@@ -61,7 +61,7 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
       m.(0) <- (if i = host then obs.Soc.qos_rate else ips.(i) /. 1e9);
       m.(1) <- powers.(i);
       Mimo.step_into ctrls.(i) ~measured:m ~dst:u;
-      Manager.apply_cluster_quiet soc i ~freq_ghz:u.(0) ~cores:u.(1)
+      ignore (Manager.apply_command soc i u ~pos:0 : bool)
     done
   in
   let persist =

@@ -58,29 +58,37 @@ let generate_capping (_ : Platform_desc.t) =
       ]
     ()
 
-(* Memoized per digest, like [Spec.of_platform]: the pair feeds the
-   synthesis cache, and handing back identical automata keeps digest
-   computation amortized across manager constructions. *)
+(* Memoized per digest, like [Spec.of_platform]: the automata feed the
+   synthesis cache, and handing back identical automata keeps their
+   digest computation amortized across manager constructions.  A value
+   is built outside the lock; when two domains race on one description
+   the first one installed wins, so every caller sees the same value. *)
 let mutex = Mutex.create ()
-let cache : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
 
-let of_platform desc =
+let memo cache build desc =
   let digest = Platform_desc.digest desc in
-  Mutex.lock mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock mutex)
-    (fun () ->
-      match Hashtbl.find_opt cache digest with
-      | Some pair -> pair
-      | None ->
-          let pair = (generate_qos desc, generate_capping desc) in
-          Hashtbl.replace cache digest pair;
-          pair)
+  match Mutex.protect mutex (fun () -> Hashtbl.find_opt cache digest) with
+  | Some v -> v
+  | None ->
+      let v = build desc in
+      Mutex.protect mutex (fun () ->
+          match Hashtbl.find_opt cache digest with
+          | Some v -> v
+          | None ->
+              Hashtbl.replace cache digest v;
+              v)
+
+let pairs : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
+let products : (string, Automaton.t) Hashtbl.t = Hashtbl.create 8
+
+let of_platform =
+  memo pairs (fun desc -> (generate_qos desc, generate_capping desc))
 
 let qos_management, power_capping = of_platform Platform_desc.exynos5422
 
-let composed_for desc =
-  let qos, capping = of_platform desc in
-  Compose.pair qos capping
+let composed_for =
+  memo products (fun desc ->
+      let qos, capping = of_platform desc in
+      Compose.pair qos capping)
 
 let composed () = Compose.pair qos_management power_capping

@@ -41,4 +41,5 @@ val of_platform : Spectr_platform.Platform_desc.t -> Automaton.t * Automaton.t
 
 val composed_for : Spectr_platform.Platform_desc.t -> Automaton.t
 (** Synchronous product of {!of_platform}'s pair — the plant handed to
-    synthesis for a description-driven supervisor. *)
+    synthesis for a description-driven supervisor.  Memoized per
+    platform digest, like {!of_platform}. *)

@@ -106,6 +106,34 @@ let fault_schedule config =
 
 (* --- tick-at-a-time execution engine --------------------------------- *)
 
+(* Interned tick timestamps.  [Manager.t.step] takes [~now] as a float,
+   and a float crossing a closure call travels boxed: boxing [obs.time]
+   afresh would allocate on every tick.  The SoC clock starts at 0 and
+   advances by exactly the controller period per tick, so tick [i] of
+   every run with the same period has the same timestamp.  The runner
+   therefore hands the manager a box taken from a process-wide list of
+   those timestamps — built once per period (and again only for a
+   longer run), immutable, shared by every run and domain — and boxes
+   afresh only if the SoC clock ever disagrees with the list. *)
+let clocks_mutex = Mutex.create ()
+let clocks : (float, float list * int) Hashtbl.t = Hashtbl.create 2
+
+let clock ~period ~ticks =
+  Mutex.protect clocks_mutex (fun () ->
+      match Hashtbl.find_opt clocks period with
+      | Some (stamps, n) when n >= ticks -> stamps
+      | _ ->
+          (* Accumulated exactly as [Soc.step_into] advances its clock. *)
+          let at = Array.make ticks 0. in
+          let t = ref 0. in
+          for i = 0 to ticks - 1 do
+            t := !t +. period;
+            at.(i) <- !t
+          done;
+          let stamps = Array.to_list at in
+          Hashtbl.replace clocks period (stamps, ticks);
+          stamps)
+
 (* The platform half of a running scenario: SoC, fault schedule,
    heartbeat monitor, trace and phase cursor.  The manager is passed to
    every [tick] instead of being owned by the runner — that is what lets
@@ -126,10 +154,12 @@ type runner = {
   mutable r_tick : int;
   (* Tick-path buffers, owned by the runner and rewritten in place every
      tick: the observation handed to the manager (and returned by
-     [tick] — valid until the next tick) and the trace row ([Trace.add]
-     copies it into column storage). *)
+     [tick], always as the one [r_some] — valid until the next tick) and
+     the trace row ([Trace.add] copies it into column storage). *)
   r_obs : Soc.observation;
+  r_some : Soc.observation option;
   r_row : float array;
+  mutable r_clock : float list; (* interned timestamps of the ticks ahead *)
 }
 
 let start config =
@@ -163,6 +193,8 @@ let start config =
      windowed rate, not an instantaneous sensor. *)
   let hb = Heartbeats.create ~window:0.25 ~reference:config.qos_ref () in
   let phases = Array.of_list config.phases in
+  let obs = Soc.make_observation () in
+  let ticks = total_ticks config in
   let r =
     {
       r_config = config;
@@ -176,8 +208,10 @@ let start config =
       r_phase = 0;
       r_done_in_phase = 0;
       r_tick = 0;
-      r_obs = Soc.make_observation ();
+      r_obs = obs;
+      r_some = Some obs;
       r_row = Array.make (List.length run_columns) 0.;
+      r_clock = clock ~period:config.controller_period ~ticks;
     }
   in
   (* Enter the first non-empty phase, applying the background load of
@@ -207,24 +241,27 @@ let current_phase r =
   let i = min r.r_phase (Array.length r.r_phases - 1) in
   (r.r_phases.(i), i)
 
+(* The box for [~now]: the head of the interned clock when it matches
+   the SoC's. *)
+let now_box r (obs : Soc.observation) =
+  match r.r_clock with
+  | t :: rest when t = obs.Soc.time ->
+      r.r_clock <- rest;
+      t
+  | _ -> obs.Soc.time
+
 let tick r ~manager =
   (* Advance the phase cursor to the next phase with steps remaining,
-     applying each entered phase's background load in order. *)
-  let rec enter () =
-    if r.r_phase < Array.length r.r_phases
-       && r.r_done_in_phase >= r.r_steps.(r.r_phase)
-    then begin
-      r.r_phase <- r.r_phase + 1;
-      r.r_done_in_phase <- 0;
-      if r.r_phase < Array.length r.r_phases then begin
-        Soc.set_background_tasks r.r_soc
-          r.r_phases.(r.r_phase).background_tasks;
-        enter ()
-      end
-    end
-  in
-  enter ();
-  if r.r_phase >= Array.length r.r_phases then None
+     applying each entered phase's background load in order.  (A loop:
+     a local recursive function would allocate its closure per tick.) *)
+  let n = Array.length r.r_phases in
+  while r.r_phase < n && r.r_done_in_phase >= r.r_steps.(r.r_phase) do
+    r.r_phase <- r.r_phase + 1;
+    r.r_done_in_phase <- 0;
+    if r.r_phase < n then
+      Soc.set_background_tasks r.r_soc r.r_phases.(r.r_phase).background_tasks
+  done;
+  if r.r_phase >= n then None
   else begin
     let config = r.r_config in
     let ph = r.r_phases.(r.r_phase) in
@@ -239,13 +276,10 @@ let tick r ~manager =
       | None -> false
       | Some f -> Faults.heartbeat_stalled f ~now:obs.Soc.time
     in
-    if not stalled then
-      Heartbeats.beat r.r_hb ~now:obs.Soc.time
-        ~count:(obs.Soc.qos_rate *. config.controller_period);
     (* Managers observe QoS through the windowed heartbeat rate, not the
-       instantaneous sensor (which fed the monitor just above). *)
-    obs.Soc.qos_rate <- Heartbeats.rate r.r_hb ~now:obs.Soc.time;
-    manager.Manager.step ~now:obs.Soc.time ~qos_ref:config.qos_ref
+       instantaneous sensor (which feeds the monitor). *)
+    Heartbeats.observe r.r_hb obs ~period:config.controller_period ~stalled;
+    manager.Manager.step ~now:(now_box r obs) ~qos_ref:config.qos_ref
       ~envelope:ph.envelope ~obs soc;
     let row = r.r_row in
     let k = r.r_k in
@@ -276,7 +310,7 @@ let tick r ~manager =
     Trace.add r.r_trace row;
     r.r_done_in_phase <- r.r_done_in_phase + 1;
     r.r_tick <- r.r_tick + 1;
-    Some obs
+    r.r_some
   end
 
 let run ~manager config =

@@ -32,19 +32,19 @@ let make ?seed () =
   in
   (* Each PID produces a bounded deviation around a mid-range operating
      point (frequency 1.0 GHz, 2.5 cores, little 0.6 GHz). *)
+  let cmd = [| 0.; 0.; 0.; 2. |] in
   let step ~now:_ ~qos_ref ~envelope ~obs soc =
     let powers = Soc.sensor_powers soc in
     Pid.set_reference qos_pid qos_ref;
     Pid.set_reference cores_pid (Float.max 0.5 (envelope -. Mm.little_power_budget));
     let freq = 1.0 +. Pid.step qos_pid ~measured:obs.Soc.qos_rate in
     let cores = 2.5 +. Pid.step cores_pid ~measured:powers.(big) in
-    Manager.apply_cluster_quiet soc big
-      ~freq_ghz:(Float.max 0.2 (Float.min 2.0 freq))
-      ~cores:(Float.max 1. (Float.min 4. cores));
+    cmd.(0) <- Float.max 0.2 (Float.min 2.0 freq);
+    cmd.(1) <- Float.max 1. (Float.min 4. cores);
+    ignore (Manager.apply_command soc big cmd ~pos:0 : bool);
     let lfreq = 0.6 +. Pid.step little_pid ~measured:powers.(little) in
-    Manager.apply_cluster_quiet soc little
-      ~freq_ghz:(Float.max 0.2 (Float.min 1.4 lfreq))
-      ~cores:2.
+    cmd.(2) <- Float.max 0.2 (Float.min 1.4 lfreq);
+    ignore (Manager.apply_command soc little cmd ~pos:2 : bool)
   in
   let persist =
     {

@@ -58,56 +58,48 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
       Supervisor.switch_gains =
         (fun label ->
           if gain_scheduling then
-            Array.iter (fun c -> Mimo.switch_gains c label) ctrls);
-      set_power_ref = (fun i v -> Mimo.set_reference ctrls.(i) ~index:1 v);
+            for i = 0 to k - 1 do
+              Mimo.switch_gains ctrls.(i) label
+            done);
+      set_power_ref =
+        (fun i refs -> Mimo.set_reference_at ctrls.(i) ~index:1 refs i);
     }
   in
   let sup = Supervisor.create ~platform ~commands ~envelope:5.0 () in
   let tick = ref 0 in
-  (* One cluster actuation, with actuator-fault detection when guarded:
-     the applied OPP/core count read back from the platform must match
-     the sanitized expectation. *)
-  let actuate guard soc cluster ~freq_ghz ~cores ~now =
+  (* One cluster actuation of [cmd.(0)] GHz / [cmd.(1)] cores, with
+     actuator-fault detection when guarded: the applied OPP/core count
+     read back from the platform must match the sanitized expectation. *)
+  let actuate guard soc cluster cmd ~now =
+    let ok = Manager.apply_command soc cluster cmd ~pos:0 in
     match guard with
-    | None ->
-        (* Unguarded tick path: nobody consumes the readback. *)
-        Manager.apply_cluster_quiet soc cluster ~freq_ghz ~cores
+    | None -> ()
     | Some g ->
-        let applied = Manager.apply_cluster soc cluster ~freq_ghz ~cores in
-        let table = Soc.opp_table soc cluster in
-        let expected_freq =
-          Opp.nearest table (Manager.sanitize_freq_mhz table freq_ghz)
-        in
-        let expected_cores =
-          Manager.sanitize_cores ~max_cores:(Soc.cluster_cores soc cluster)
-            cores
-        in
-        let ok =
-          applied.Manager.freq_mhz = expected_freq
-          && applied.Manager.cores = expected_cores
-        in
         if not ok then Obs.Counters.incr c_act_mismatch;
         Guarded.note_actuation g ~now ~ok
   in
-  (* Preallocated measurement/command buffers, one pair per cluster: the
-     tick path writes them in place instead of building fresh arrays
-     every period. *)
+  (* Preallocated tick-path buffers: one measurement/command pair per
+     cluster, the fallback's floor command and the supervisor's
+     measurement sample, all written in place every period — floats
+     cross module boundaries only inside them (see DESIGN.md). *)
   let meas = Array.init k (fun _ -> [| 0.; 0. |]) in
   let cmd = Array.init k (fun _ -> [| 0.; 0. |]) in
+  let floor_cmd = [| 0.2; 1. |] in
+  let sample = Supervisor.sample () in
   let step ~now ~qos_ref ~envelope ~obs soc =
     Obs.Counters.incr c_steps;
     (* SoC-owned per-cluster sensor array: read-only here, valid until
-       the next platform step. *)
+       the next platform step.  Under a guard, the QoS reading and the
+       powers come from its sanitized buffer instead. *)
     let raw_powers = Soc.sensor_powers soc in
-    let qos, powers =
-      match guards with
-      | None -> ((obs.Soc.qos_rate : float), raw_powers)
-      | Some g ->
-          let f =
-            Guarded.filter g ~now ~qos:obs.Soc.qos_rate ~powers:raw_powers
-          in
-          (f.Guarded.qos, f.Guarded.powers)
-    in
+    let qos = ref obs.Soc.qos_rate and powers = ref raw_powers in
+    (match guards with
+    | None -> ()
+    | Some g ->
+        let f = Guarded.filter_obs g ~now obs ~powers:raw_powers in
+        qos := f.Guarded.qos.(0);
+        powers := f.Guarded.powers);
+    let qos = !qos and powers = !powers in
     match guards with
     | Some g when Guarded.degraded g ->
         (* Open-loop fallback: sensors (or actuators) are untrustworthy,
@@ -118,7 +110,7 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
            power inside the envelope. *)
         Obs.Counters.incr c_degraded;
         for i = 0 to k - 1 do
-          actuate guards soc i ~freq_ghz:0.2 ~cores:1. ~now
+          actuate guards soc i floor_cmd ~now
         done;
         incr tick
     | _ ->
@@ -130,7 +122,11 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
            for i = 0 to k - 1 do
              total := !total +. powers.(i)
            done;
-           Supervisor.step sup ~qos ~qos_ref ~power:!total ~envelope
+           sample.Supervisor.qos <- qos;
+           sample.Supervisor.qos_ref <- qos_ref;
+           sample.Supervisor.power <- !total;
+           sample.Supervisor.envelope <- envelope;
+           Supervisor.step_sample sup sample
          end);
         incr tick;
         let ips = Soc.ips_totals soc in
@@ -140,7 +136,7 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
           m.(0) <- (if i = host then qos else ips.(i) /. 1e9);
           m.(1) <- powers.(i);
           Mimo.step_into ctrls.(i) ~measured:m ~dst:u;
-          actuate guards soc i ~freq_ghz:u.(0) ~cores:u.(1) ~now
+          actuate guards soc i u ~now
         done
   in
   let name = match guards with None -> "SPECTR" | Some _ -> "SPECTR+G" in
@@ -305,7 +301,8 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
         (fun label ->
           if gain_scheduling then
             Array.iter (fun c -> Mimo.switch_gains c label) !ctrls);
-      set_power_ref = (fun i v -> Mimo.set_reference !ctrls.(i) ~index:1 v);
+      set_power_ref =
+        (fun i refs -> Mimo.set_reference_at !ctrls.(i) ~index:1 refs i);
     }
   in
   let sup = Supervisor.create ~platform ~commands ~envelope:5.0 () in
@@ -424,7 +421,7 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
     let expected_freq =
       match h.pinned_freq.(p) with
       | Some f -> f
-      | None -> Opp.nearest table (Manager.sanitize_freq_mhz table freq_ghz)
+      | None -> Opp.nearest table (Opp.request_mhz table freq_ghz)
     in
     let expected_cores =
       Manager.sanitize_cores ~max_cores:(Soc.cluster_cores soc p) cores
@@ -446,6 +443,7 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
   in
   let meas = Array.init k0 (fun _ -> [| 0.; 0. |]) in
   let cmd = Array.init k0 (fun _ -> [| 0.; 0. |]) in
+  let sample = Supervisor.sample () in
   let step ~now ~qos_ref ~envelope ~obs soc =
     Obs.Counters.incr c_steps;
     let raw_powers = Soc.sensor_powers soc in
@@ -453,8 +451,8 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
     (* FDIR watches the raw (pre-guard) evidence: substitution would hide
        exactly the exact-zero streaks it needs to see. *)
     Fdir.observe fdir ~qos:obs.Soc.qos_rate ~powers:raw_powers ~ips;
-    let f = Guarded.filter guard ~now ~qos:obs.Soc.qos_rate ~powers:raw_powers in
-    let qos = f.Guarded.qos and powers = f.Guarded.powers in
+    let f = Guarded.filter_obs guard ~now obs ~powers:raw_powers in
+    let qos = f.Guarded.qos.(0) and powers = f.Guarded.powers in
     if h.status <> Reconfig.Fallback then List.iter handle_finding (Fdir.poll fdir);
     incr tick;
     match h.status with
@@ -482,7 +480,11 @@ let make_reconfigurable ?(seed = 17L) ?(supervisor_divisor = 2)
              for j = 0 to k - 1 do
                total := !total +. powers.(h.phys.(j))
              done;
-             Supervisor.step h.sup ~qos ~qos_ref ~power:!total ~envelope
+             sample.Supervisor.qos <- qos;
+             sample.Supervisor.qos_ref <- qos_ref;
+             sample.Supervisor.power <- !total;
+             sample.Supervisor.envelope <- envelope;
+             Supervisor.step_sample h.sup sample
            end);
           for j = 0 to k - 1 do
             let p = h.phys.(j) in

@@ -11,10 +11,19 @@ let h_step = Obs.Histogram.histogram "supervisor.step_ns"
 
 type commands = {
   switch_gains : string -> unit;
-  set_power_ref : int -> float -> unit;
+  set_power_ref : int -> float array -> unit;
       (* per-cluster power-reference update, cluster in description
-         order *)
+         order: [set_power_ref i refs] publishes [refs.(i)] *)
 }
+
+type sample = {
+  mutable qos : float;
+  mutable qos_ref : float;
+  mutable power : float;
+  mutable envelope : float;
+}
+
+let sample () = { qos = 0.; qos_ref = 0.; power = 0.; envelope = 0. }
 
 (* Config field names keep the paper's Big/Little vocabulary: "big" is
    the host cluster (the one running the QoS application), "little" is
@@ -75,8 +84,14 @@ let synthesize ?(platform = Platform_desc.exynos5422) () =
             ("Supervisor.synthesize: uncontrollable at " ^ w.Verify.plant_state));
       (sup, stats)
 
+(* The budget clamps' bounds, in a record of floats only: OCaml stores
+   it flat, so a clamp reads them unboxed.  (Clamping with a boxed config
+   field would hand back that box or box the computed value.) *)
+type bounds = { host_min : float; secondary_min : float; secondary_max : float }
+
 type t = {
   config : config;
+  bounds : bounds;
   commands : commands;
   platform : Platform_desc.t;
   auto : Automaton.t;
@@ -91,11 +106,10 @@ type t = {
   mutable current : int; (* supervisor-automaton state index *)
   mutable mode : string; (* "qos" | "power" *)
   mutable mode_age : int; (* supervisor periods since the last switch *)
-  (* Most recent measurements, consulted by the action policy. *)
-  mutable last_qos : float;
-  mutable last_qos_ref : float;
-  mutable last_power : float;
-  mutable last_envelope : float;
+  last : sample;
+      (* most recent trustworthy measurements, consulted by the action
+         policy; a flat float record, so updates store unboxed *)
+  input : sample; (* argument buffer of the labelled [step] *)
 }
 
 let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
@@ -107,12 +121,18 @@ let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
   let host = Platform_desc.host platform in
   let refs = Array.make k 0.3 in
   refs.(host) <- Float.max config.big_budget_min (envelope -. 0.6);
-  commands.set_power_ref host refs.(host);
+  commands.set_power_ref host refs;
   for i = 0 to k - 1 do
-    if i <> host then commands.set_power_ref i refs.(i)
+    if i <> host then commands.set_power_ref i refs
   done;
   {
     config;
+    bounds =
+      {
+        host_min = config.big_budget_min;
+        secondary_min = config.little_budget_min;
+        secondary_max = config.little_budget_max;
+      };
     commands;
     platform;
     auto;
@@ -128,10 +148,8 @@ let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
     current = Automaton.initial_index auto;
     mode = "qos";
     mode_age = 0;
-    last_qos = 0.;
-    last_qos_ref = 1.;
-    last_power = 0.;
-    last_envelope = envelope;
+    last = { qos = 0.; qos_ref = 1.; power = 0.; envelope };
+    input = sample ();
   }
 
 (* The only place the runtime engine translates back to a name: the hot
@@ -166,10 +184,10 @@ let snapshot t =
     snap_mode = t.mode;
     snap_mode_age = t.mode_age;
     snap_refs = Array.copy t.refs;
-    snap_last_qos = t.last_qos;
-    snap_last_qos_ref = t.last_qos_ref;
-    snap_last_power = t.last_power;
-    snap_last_envelope = t.last_envelope;
+    snap_last_qos = t.last.qos;
+    snap_last_qos_ref = t.last.qos_ref;
+    snap_last_power = t.last.power;
+    snap_last_envelope = t.last.envelope;
   }
 
 let restore t s =
@@ -185,10 +203,10 @@ let restore t s =
   t.mode <- s.snap_mode;
   t.mode_age <- s.snap_mode_age;
   Array.blit s.snap_refs 0 t.refs 0 t.k;
-  t.last_qos <- s.snap_last_qos;
-  t.last_qos_ref <- s.snap_last_qos_ref;
-  t.last_power <- s.snap_last_power;
-  t.last_envelope <- s.snap_last_envelope
+  t.last.qos <- s.snap_last_qos;
+  t.last.qos_ref <- s.snap_last_qos_ref;
+  t.last.power <- s.snap_last_power;
+  t.last.envelope <- s.snap_last_envelope
 
 (* --- actions --------------------------------------------------------- *)
 
@@ -229,13 +247,13 @@ let[@inline] host_budget_cap t =
        near the top of the big cluster's table — so capping at the full
        envelope limit-cycles across it.  Cap at the supervisor's own
        capping target instead, less half an OPP step of slack. *)
-    (t.last_envelope *. t.config.capping_target) -. 0.2
+    (t.last.envelope *. t.config.capping_target) -. 0.2
   else begin
     let reserved = ref 0. in
     for i = 0 to t.k - 1 do
       if i <> t.host then reserved := !reserved +. t.refs.(i)
     done;
-    t.last_envelope -. (0.9 *. !reserved)
+    t.last.envelope -. (0.9 *. !reserved)
   end
 
 let[@inline] record_rebudget t i v =
@@ -243,24 +261,25 @@ let[@inline] record_rebudget t i v =
     Obs.Decision_log.record
       (Obs.Decision_log.Rebudget { target = t.ref_targets.(i); value = v })
 
-let set_host t v =
-  let v =
-    Float.max t.config.big_budget_min (Float.min v (host_budget_cap t))
-  in
+(* Budget moves.  Inlined, like every helper below that takes a float:
+   a float argument of a real call is boxed, and these run on most
+   supervisor periods.  The new budget reaches the command closure
+   inside [t.refs], unboxed. *)
+let[@inline] set_host t v =
+  let v = Float.max t.bounds.host_min (Float.min v (host_budget_cap t)) in
   if v <> t.refs.(t.host) then begin
     t.refs.(t.host) <- v;
-    t.commands.set_power_ref t.host v;
+    t.commands.set_power_ref t.host t.refs;
     record_rebudget t t.host v
   end
 
-let set_secondary t i v =
+let[@inline] set_secondary t i v =
   let v =
-    Float.max t.config.little_budget_min
-      (Float.min v t.config.little_budget_max)
+    Float.max t.bounds.secondary_min (Float.min v t.bounds.secondary_max)
   in
   if v <> t.refs.(i) then begin
     t.refs.(i) <- v;
-    t.commands.set_power_ref i v;
+    t.commands.set_power_ref i t.refs;
     record_rebudget t i v
   end
 
@@ -313,7 +332,7 @@ let execute t eid =
    else if eid = id_decrease_critical_power then begin
      set_host t (t.refs.(t.host) *. t.config.critical_cut);
      for i = 0 to t.k - 1 do
-       if i <> t.host then set_secondary t i t.config.little_budget_min
+       if i <> t.host then set_secondary t i t.bounds.secondary_min
      done
    end
    else if eid = id_control_power then begin
@@ -364,7 +383,7 @@ let first_secondary_decrease t =
    probe is one binary search of the current CSR row. *)
 let choose_action t =
   let c = t.config in
-  let qos_surplus = t.last_qos -. (t.last_qos_ref *. (1. +. c.qos_tolerance)) in
+  let qos_surplus = t.last.qos -. (t.last.qos_ref *. (1. +. c.qos_tolerance)) in
   let headroom = host_budget_cap t -. t.refs.(t.host) in
   if has t id_switch_power then id_switch_power
   else if has t id_decrease_critical_power then id_decrease_critical_power
@@ -420,28 +439,29 @@ let[@inline] subst v =
   Obs.Counters.incr c_dropped;
   v
 
-let do_step t ~qos ~qos_ref ~power ~envelope =
+let do_step t (s : sample) =
   (* Sensor-fault guard: a non-finite measurement must not poison the
      band comparisons (NaN makes every band test false, silently holding
      the current state forever).  Treat it as a dropped sample and fall
      back to the last trustworthy value — the guarded layer upstream
      normally filters these out, but the supervisor must stay safe even
      when driven bare. *)
-  let qos = if Float.is_finite qos then qos else subst t.last_qos in
+  let last = t.last in
+  let qos = if Float.is_finite s.qos then s.qos else subst last.qos in
   let qos_ref =
-    if Float.is_finite qos_ref then qos_ref else subst t.last_qos_ref
+    if Float.is_finite s.qos_ref then s.qos_ref else subst last.qos_ref
   in
-  let power = if Float.is_finite power then power else subst t.last_power in
+  let power = if Float.is_finite s.power then s.power else subst last.power in
   let envelope =
-    if Float.is_finite envelope && envelope > 0. then envelope
-    else subst t.last_envelope
+    if Float.is_finite s.envelope && s.envelope > 0. then s.envelope
+    else subst last.envelope
   in
   t.mode_age <- t.mode_age + 1;
-  t.last_qos <- qos;
-  t.last_qos_ref <- qos_ref;
-  t.last_power <- power;
-  (if envelope <> t.last_envelope then begin
-     t.last_envelope <- envelope;
+  last.qos <- qos;
+  last.qos_ref <- qos_ref;
+  last.power <- power;
+  (if envelope <> last.envelope then begin
+     last.envelope <- envelope;
      (* Re-clamp budgets immediately on an envelope change (thermal
         emergency or recovery). *)
      set_host t t.refs.(t.host)
@@ -503,14 +523,11 @@ let adopt t ~prev ~prev_platform =
       (Printf.sprintf "Supervisor.adopt: %d budget refs, previous platform \
                        has %d clusters"
          (Array.length prev.snap_refs) kp);
-  let qos = prev.snap_last_qos in
-  let qos_ref = prev.snap_last_qos_ref in
-  let power = prev.snap_last_power in
   let envelope = prev.snap_last_envelope in
-  t.last_qos <- qos;
-  t.last_qos_ref <- qos_ref;
-  t.last_power <- power;
-  if Float.is_finite envelope && envelope > 0. then t.last_envelope <- envelope;
+  t.last.qos <- prev.snap_last_qos;
+  t.last.qos_ref <- prev.snap_last_qos_ref;
+  t.last.power <- prev.snap_last_power;
+  if Float.is_finite envelope && envelope > 0. then t.last.envelope <- envelope;
   Array.iteri
     (fun j v ->
       match
@@ -525,13 +542,26 @@ let adopt t ~prev ~prev_platform =
     if t.mode <> "power" && has t id_switch_power then execute t id_switch_power;
     if t.mode = "power" then t.mode_age <- prev.snap_mode_age
   end;
-  do_step t ~qos ~qos_ref ~power ~envelope
+  let s = t.input in
+  s.qos <- prev.snap_last_qos;
+  s.qos_ref <- prev.snap_last_qos_ref;
+  s.power <- prev.snap_last_power;
+  s.envelope <- envelope;
+  do_step t s
 
 (* One supervisory invocation: counted and latency-timed when
    observability is enabled; otherwise exactly [do_step]. *)
-let step t ~qos ~qos_ref ~power ~envelope =
-  if not (Obs.enabled ()) then do_step t ~qos ~qos_ref ~power ~envelope
+let step_sample t s =
+  if not (Obs.enabled ()) then do_step t s
   else begin
     Obs.Counters.incr c_steps;
-    Obs.time h_step (fun () -> do_step t ~qos ~qos_ref ~power ~envelope)
+    Obs.time h_step (fun () -> do_step t s)
   end
+
+let step t ~qos ~qos_ref ~power ~envelope =
+  let s = t.input in
+  s.qos <- qos;
+  s.qos_ref <- qos_ref;
+  s.power <- power;
+  s.envelope <- envelope;
+  step_sample t s

@@ -25,10 +25,26 @@ module Platform_desc = Spectr_platform.Platform_desc
 type commands = {
   switch_gains : string -> unit;
       (** Called with ["qos"] or ["power"] on a gain-schedule switch. *)
-  set_power_ref : int -> float -> unit;
-      (** New power budget (W) for the given cluster index (description
-          order; on exynos5422: 0 = Big, 1 = Little). *)
+  set_power_ref : int -> float array -> unit;
+      (** [set_power_ref i refs]: the power budget (W) of cluster [i]
+          (description order; on exynos5422: 0 = Big, 1 = Little) is now
+          [refs.(i)].  [refs] is the supervisor's budget vector, lent
+          read-only for the call — passing the vector rather than the
+          float keeps the value unboxed on its way to the controller. *)
 }
+
+(** One supervisor period's measurements.  All fields are floats, so
+    OCaml stores the record flat: the tick path fills it and hands it to
+    {!step_sample} without boxing a float. *)
+type sample = {
+  mutable qos : float;  (** Measured QoS rate. *)
+  mutable qos_ref : float;  (** Its reference. *)
+  mutable power : float;  (** Measured chip power (W). *)
+  mutable envelope : float;  (** Current power envelope (W). *)
+}
+
+val sample : unit -> sample
+(** A zeroed sample buffer. *)
 
 (** Configuration keeps the paper's Big/Little vocabulary: the [big_*]
     fields govern the {e host} cluster's budget, the [little_*] fields
@@ -90,6 +106,11 @@ val step :
     Non-finite measurements (a failed sensor) are treated as dropped
     samples: the last trustworthy value is substituted, so the band
     logic keeps running instead of silently holding state forever. *)
+
+val step_sample : t -> sample -> unit
+(** {!step} on measurements passed in a {!sample}: the allocation-free
+    form the managers call every supervisor period ({!step} writes its
+    arguments into a supervisor-owned sample and calls this). *)
 
 val state : t -> string
 (** Current supervisor-automaton state name (e.g. ["Eval\\.Safe.Uncapped"]

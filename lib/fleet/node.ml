@@ -206,8 +206,7 @@ let expire_items t =
 let step_platform t ~dt =
   let obs = t.obs in
   Soc.step_into t.soc ~dt obs;
-  Heartbeats.beat t.hb ~now:obs.Soc.time ~count:(obs.Soc.qos_rate *. dt);
-  obs.Soc.qos_rate <- Heartbeats.rate t.hb ~now:obs.Soc.time;
+  Heartbeats.observe t.hb obs ~period:dt ~stalled:false;
   t.manager.Spectr.Manager.step ~now:obs.Soc.time ~qos_ref:t.qos_ref
     ~envelope:t.cap ~obs t.soc;
   Soc.true_chip_power t.soc

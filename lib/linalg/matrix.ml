@@ -112,68 +112,6 @@ let mul a b =
   done;
   { rows = a.rows; cols = b.cols; data }
 
-(* In-place variants for preallocated-buffer hot loops (the MIMO tick
-   kernel).  Each checks shapes like its allocating counterpart and
-   performs float-array stores only — no heap allocation.  [mul_into]
-   additionally rejects aliasing of [dst] with an operand, since the
-   accumulation would read partially-overwritten entries; the
-   element-wise ops tolerate aliasing (they are pure pointwise). *)
-
-let add_into ~dst a b =
-  same_shape "add_into" a b;
-  same_shape "add_into" dst a;
-  for k = 0 to Array.length dst.data - 1 do
-    dst.data.(k) <- a.data.(k) +. b.data.(k)
-  done
-
-let sub_into ~dst a b =
-  same_shape "sub_into" a b;
-  same_shape "sub_into" dst a;
-  for k = 0 to Array.length dst.data - 1 do
-    dst.data.(k) <- a.data.(k) -. b.data.(k)
-  done
-
-let scale_into ~dst s m =
-  same_shape "scale_into" dst m;
-  for k = 0 to Array.length dst.data - 1 do
-    dst.data.(k) <- s *. m.data.(k)
-  done
-
-let neg_into ~dst m =
-  same_shape "neg_into" dst m;
-  for k = 0 to Array.length dst.data - 1 do
-    dst.data.(k) <- -.m.data.(k)
-  done
-
-let copy_into ~dst m =
-  same_shape "copy_into" dst m;
-  Array.blit m.data 0 dst.data 0 (Array.length m.data)
-
-let mul_into ~dst a b =
-  if a.cols <> b.rows then
-    invalid_arg
-      (Printf.sprintf "Matrix.mul_into: %dx%d * %dx%d" a.rows a.cols b.rows
-         b.cols);
-  if dst.rows <> a.rows || dst.cols <> b.cols then
-    invalid_arg
-      (Printf.sprintf "Matrix.mul_into: dst %dx%d for %dx%d product" dst.rows
-         dst.cols a.rows b.cols);
-  if dst.data == a.data || dst.data == b.data then
-    invalid_arg "Matrix.mul_into: dst aliases an operand";
-  (* Same loop nest and accumulation order as [mul], so results are
-     bit-identical to the allocating path. *)
-  Array.fill dst.data 0 (Array.length dst.data) 0.;
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0. then
-        for j = 0 to b.cols - 1 do
-          dst.data.((i * b.cols) + j) <-
-            dst.data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done
-
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> unsafe_get m j i)
 
 let hcat a b =
@@ -212,13 +150,27 @@ let submatrix m ~row ~col ~rows ~cols =
 
 (* Gaussian elimination with partial pivoting on the augmented system.
    Returns the solution matrix and the determinant of [a]. *)
-let gauss_solve a b =
+(* Gaussian elimination with partial pivoting, split into the
+   factorization of [a] and its replay on a right-hand side.  Replaying
+   the recorded row swaps and multipliers performs exactly the
+   operations, in the same order, that eliminating [a | b] in one pass
+   performs on [b], so the split changes no result bit; it lets a
+   caller that solves against one matrix many times factor it once and
+   solve without allocating ([Mimo.switch_gains]). *)
+type factored = {
+  order : int;
+  lu : float array array; (* the eliminated rows, in pivoted order *)
+  swaps : int array; (* the row exchanged with row k at step k *)
+  mults : float array; (* [k * order + i]: row i's multiplier at step k *)
+  det : float;
+}
+
+let factor a =
   if a.rows <> a.cols then invalid_arg "Matrix.solve: not square";
-  if a.rows <> b.rows then invalid_arg "Matrix.solve: rhs rows mismatch";
   let n = a.rows in
-  let nb = b.cols in
   let m = to_arrays a in
-  let rhs = to_arrays b in
+  let swaps = Array.init n Fun.id in
+  let mults = Array.make (n * n) 0. in
   let det = ref 1. in
   for k = 0 to n - 1 do
     (* partial pivot *)
@@ -230,9 +182,7 @@ let gauss_solve a b =
       let tmp = m.(k) in
       m.(k) <- m.(!pivot);
       m.(!pivot) <- tmp;
-      let tmp = rhs.(k) in
-      rhs.(k) <- rhs.(!pivot);
-      rhs.(!pivot) <- tmp;
+      swaps.(k) <- !pivot;
       det := -. !det
     end;
     let p = m.(k).(k) in
@@ -240,37 +190,66 @@ let gauss_solve a b =
     det := !det *. p;
     for i = k + 1 to n - 1 do
       let f = m.(i).(k) /. p in
-      if f <> 0. then begin
+      mults.((k * n) + i) <- f;
+      if f <> 0. then
         for j = k to n - 1 do
           m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
-        done;
-        for j = 0 to nb - 1 do
-          rhs.(i).(j) <- rhs.(i).(j) -. (f *. rhs.(k).(j))
         done
-      end
     done
   done;
-  (* back substitution *)
-  let x = Array.make_matrix n nb 0. in
-  for j = 0 to nb - 1 do
-    for i = n - 1 downto 0 do
-      let s = ref rhs.(i).(j) in
-      for k = i + 1 to n - 1 do
-        s := !s -. (m.(i).(k) *. x.(k).(j))
-      done;
-      x.(i).(j) <- !s /. m.(i).(i)
-    done
-  done;
-  (of_arrays x, !det)
+  { order = n; lu = m; swaps; mults; det = !det }
 
-let solve a b = fst (gauss_solve a b)
+let solve_factored f x =
+  let n = f.order in
+  if Array.length x <> n then invalid_arg "Matrix.solve_factored: length";
+  for k = 0 to n - 1 do
+    let s = f.swaps.(k) in
+    if s <> k then begin
+      let tmp = x.(k) in
+      x.(k) <- x.(s);
+      x.(s) <- tmp
+    end;
+    for i = k + 1 to n - 1 do
+      let g = f.mults.((k * n) + i) in
+      if g <> 0. then x.(i) <- x.(i) -. (g *. x.(k))
+    done
+  done;
+  (* back substitution, in place: x.(k) for k > i already holds the
+     solution *)
+  for i = n - 1 downto 0 do
+    let row = f.lu.(i) in
+    let s = ref x.(i) in
+    for k = i + 1 to n - 1 do
+      s := !s -. (row.(k) *. x.(k))
+    done;
+    x.(i) <- !s /. row.(i)
+  done
+
+let solve a b =
+  if a.rows <> a.cols then invalid_arg "Matrix.solve: not square";
+  if a.rows <> b.rows then invalid_arg "Matrix.solve: rhs rows mismatch";
+  let f = factor a in
+  let n = a.rows and nb = b.cols in
+  let data = Array.make (n * nb) 0. in
+  (* The columns of [b] never mix, so solving them one at a time is the
+     same arithmetic as eliminating them side by side. *)
+  let x = Array.make n 0. in
+  for j = 0 to nb - 1 do
+    for i = 0 to n - 1 do
+      x.(i) <- b.data.((i * nb) + j)
+    done;
+    solve_factored f x;
+    for i = 0 to n - 1 do
+      data.((i * nb) + j) <- x.(i)
+    done
+  done;
+  { rows = n; cols = nb; data }
+
 let inverse a = solve a (identity a.rows)
 
 let determinant a =
   if a.rows <> a.cols then invalid_arg "Matrix.determinant: not square";
-  match gauss_solve a (identity a.rows) with
-  | _, det -> det
-  | exception Failure _ -> 0.
+  match factor a with f -> f.det | exception Failure _ -> 0.
 
 let frobenius_norm m =
   sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)

@@ -78,35 +78,13 @@ val transpose : t -> t
 val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 
-(** {2 In-place variants}
-
-    Preallocated-destination versions of the core algebra for
-    allocation-free hot loops.  [dst] must already have the result's
-    shape; dimension mismatches raise [Invalid_argument] exactly as in
-    the allocating versions.  Results are bit-identical to their
-    allocating counterparts (same accumulation order). *)
-
-val add_into : dst:t -> t -> t -> unit
-val sub_into : dst:t -> t -> t -> unit
-val scale_into : dst:t -> float -> t -> unit
-val neg_into : dst:t -> t -> unit
-
-val copy_into : dst:t -> t -> unit
-(** Overwrite [dst] with a copy of the argument. *)
-
 val data : t -> float array
 (** The backing store, row-major ([a_ij] at index [i*cols + j]; a column
     vector is just indices [0..rows-1]).  The escape hatch for
-    zero-allocation kernels that read or write elements in a loop —
-    [get]/[init] are cross-module calls whose boxed float returns the
-    tick path cannot afford.  Writes alias the matrix; mutate with
-    care. *)
-
-val mul_into : dst:t -> t -> t -> unit
-(** Matrix product into [dst].  Raises [Invalid_argument] if [dst]
-    aliases either operand (the accumulation would read
-    partially-written entries); the element-wise [_into] ops above
-    tolerate aliasing. *)
+    zero-allocation kernels that read elements in a loop — [get]/[init]
+    are cross-module calls whose boxed float returns the tick path
+    cannot afford ({!Spectr_control.Mimo.step_into} reads its gain
+    matrices this way).  Writes alias the matrix; mutate with care. *)
 
 val hcat : t -> t -> t
 (** Horizontal concatenation [\[a b\]]. *)
@@ -128,6 +106,19 @@ val solve : t -> t -> t
     Raises [Failure "Matrix.solve: singular"] if [a] is (numerically)
     singular, and [Invalid_argument] if [a] is not square or dimensions
     mismatch. *)
+
+type factored
+(** A square matrix after Gaussian elimination with partial pivoting:
+    the factorization {!solve} computes and replays. *)
+
+val factor : t -> factored
+(** Same exceptions as {!solve} on its first argument. *)
+
+val solve_factored : factored -> float array -> unit
+(** [solve_factored (factor a) x] overwrites [x] (length n) with
+    the solution of [a x' = x]: bit-identical to
+    [solve a (col_vector x)], without allocating.  Raises
+    [Invalid_argument] on a length mismatch. *)
 
 val inverse : t -> t
 (** [inverse a = solve a (identity n)].  Same exceptions as {!solve}. *)

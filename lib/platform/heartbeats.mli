@@ -22,6 +22,15 @@ val rate : t -> now:float -> float
 (** Heartbeats per second over the trailing window ending at [now];
     0 before any beat arrives. *)
 
+val observe : t -> Soc.observation -> period:float -> stalled:bool -> unit
+(** One controller period of the monitor, as a scenario drives it: the
+    application beats at [obs.time] with the [obs.qos_rate *. period]
+    heartbeats it completed over the period (no beat when [stalled] —
+    a stalled monitor receives none), then [obs.qos_rate] is overwritten
+    with the windowed {!rate} the managers observe.  The same {!beat}
+    and {!rate}, with the floats kept inside the flat observation
+    record: allocation-free. *)
+
 val reference : t -> float
 val set_reference : t -> float -> unit
 (** The user-updated performance goal (a dynamic reference the

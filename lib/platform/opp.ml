@@ -52,20 +52,27 @@ let min_freq t = t.freqs_mhz.(0)
 let max_freq t = t.freqs_mhz.(Array.length t.freqs_mhz - 1)
 let num_points t = Array.length t.freqs_mhz
 
-let nearest_scan t f_mhz =
+(* The tick path passes frequencies between modules inside float arrays
+   (see [resolve]), so [nearest]'s body is inlined into each entry point
+   rather than called with a boxed float; for the same reason the scan
+   is a plain loop ([Array.iter]'s closure would allocate the refs it
+   captures). *)
+let[@inline] scan t f_mhz =
   let best = ref t.freqs_mhz.(0) in
   let best_d = ref (abs_float (float_of_int !best -. f_mhz)) in
-  Array.iter
-    (fun f ->
-      let d = abs_float (float_of_int f -. f_mhz) in
-      if d < !best_d then begin
-        best := f;
-        best_d := d
-      end)
-    t.freqs_mhz;
+  for i = 0 to Array.length t.freqs_mhz - 1 do
+    let f = t.freqs_mhz.(i) in
+    let d = abs_float (float_of_int f -. f_mhz) in
+    if d < !best_d then begin
+      best := f;
+      best_d := d
+    end
+  done;
   !best
 
-let nearest t f_mhz =
+let nearest_scan t f_mhz = scan t f_mhz
+
+let[@inline] nearest_inline t f_mhz =
   let n = Array.length t.freqs_mhz in
   if t.uniform_step_mhz > 0 && n > 1 && Float.is_finite f_mhz then begin
     (* The nearest grid point is the floor cell's endpoint or its
@@ -82,12 +89,29 @@ let nearest t f_mhz =
     then fk
     else fk1
   end
-  else nearest_scan t f_mhz
+  else scan t f_mhz
 
+let nearest t f_mhz = nearest_inline t f_mhz
+
+(* Controller outputs can be garbage (a diverged integrator, a NaN from a
+   corrupted measurement).  Non-finite or negative requests must clamp
+   to the nearest legal value — NaN conservatively to the low end. *)
+let[@inline] request_inline t freq_ghz =
+  let f_mhz = freq_ghz *. 1000. in
+  if Float.is_nan f_mhz then float_of_int (min_freq t)
+  else if f_mhz = Float.infinity then float_of_int (max_freq t)
+  else if f_mhz = Float.neg_infinity || f_mhz < 0. then
+    float_of_int (min_freq t)
+  else f_mhz
+
+let request_mhz t freq_ghz = request_inline t freq_ghz
+let resolve t cmd i = nearest_inline t (request_inline t cmd.(i))
+
+let not_an_opp t f =
+  invalid_arg (Printf.sprintf "Opp.index: %d MHz not an OPP of %s" f t.name)
+
+(* Closure-free (it sits on the actuation tick path via [Soc.set_opp]). *)
 let index t f =
-  let not_an_opp () =
-    invalid_arg (Printf.sprintf "Opp.index: %d MHz not an OPP of %s" f t.name)
-  in
   if t.uniform_step_mhz > 0 then begin
     let off = f - t.freqs_mhz.(0) in
     let k = off / t.uniform_step_mhz in
@@ -96,15 +120,15 @@ let index t f =
       && off mod t.uniform_step_mhz = 0
       && k < Array.length t.freqs_mhz
     then k
-    else not_an_opp ()
+    else not_an_opp t f
   end
   else begin
-    let rec find i =
-      if i >= Array.length t.freqs_mhz then not_an_opp ()
-      else if t.freqs_mhz.(i) = f then i
-      else find (i + 1)
-    in
-    find 0
+    let n = Array.length t.freqs_mhz in
+    let k = ref 0 in
+    while !k < n && t.freqs_mhz.(!k) <> f do
+      incr k
+    done;
+    if !k < n then !k else not_an_opp t f
   end
 
 let voltage t f = t.volts.(index t f)

@@ -40,6 +40,19 @@ val nearest : t -> float -> int
 (** [nearest table f_mhz] is the available frequency closest to [f_mhz]
     (ties resolve downward), clamped to the table range. *)
 
+val request_mhz : t -> float -> float
+(** [request_mhz table freq_ghz] is the frequency, in MHz, that a
+    frequency command of [freq_ghz] GHz asks of this table:
+    [freq_ghz * 1000] when that is finite and non-negative; otherwise
+    clamped to the table's range — [+inf] to the maximum OPP, NaN,
+    [-inf] and negative values conservatively to the minimum. *)
+
+val resolve : t -> float array -> int -> int
+(** [resolve table cmd i] is [nearest table (request_mhz table cmd.(i))]:
+    the OPP a GHz frequency command resolves to.  The command is read
+    from a float array so that it crosses the module boundary unboxed —
+    the actuation tick path allocates nothing. *)
+
 val nearest_scan : t -> float -> int
 (** The O(n) fallback behind {!nearest} for unevenly spaced tables;
     exposed so tests can pin the scan path against the O(1) fast path. *)

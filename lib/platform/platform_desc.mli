@@ -47,15 +47,28 @@ type thermal = {
 }
 
 type t
+(** An immutable description.  Its {!digest} is computed once, in
+    {!create}, so nothing reachable from a [t] may change afterwards:
+    {!create} copies the [clusters] array it is given, {!clusters}
+    returns a fresh copy, and the cluster records are immutable.  The
+    one mutable thing a caller can reach is the arrays inside a
+    cluster's [Opp.t]; they are shared with the OPP table and must not
+    be written. *)
 
 val create :
   name:string -> clusters:cluster array -> host:int -> thermal:thermal -> t
 (** Raises [Invalid_argument] with a precise message on invalid names,
     duplicate clusters, out-of-range host index or core counts, or
-    non-positive thermal parameters. *)
+    non-positive thermal parameters.  The description keeps its own copy
+    of [clusters]: later writes to the caller's array change neither it
+    nor its digest. *)
 
 val name : t -> string
+
 val clusters : t -> cluster array
+(** A fresh copy of the cluster array; writing to it does not affect
+    the description. *)
+
 val num_clusters : t -> int
 val host : t -> int
 (** Index of the QoS-hosting cluster. *)
@@ -137,8 +150,9 @@ val to_csv_string : t -> string
     round-trips. *)
 
 val digest : t -> string
-(** Hex MD5 of the canonical serialization — the platform identity used
-    in design-flow memo keys and checkpoint variant tags. *)
+(** Hex MD5 of {!to_csv_string} — the platform identity used in
+    design-flow memo keys and checkpoint variant tags.  Computed once by
+    {!create}; this accessor costs nothing. *)
 
 val describe : t -> string
 (** Human-readable summary for [spectr_cli platforms]. *)

@@ -250,18 +250,26 @@ let frequency soc i =
   check_cluster soc i;
   soc.freqs.(i)
 
-let set_frequency soc i f_mhz =
+let set_opp soc i f =
   check_cluster soc i;
   if fault_active soc Faults.dvfs_stuck || cluster_dead_now soc i then
     soc.freqs.(i)
   else begin
-    let f = Opp.nearest soc.opps.(i) f_mhz in
+    (* [Opp.index] rejects a non-OPP before anything changes; the voltage
+       is read from the table here because [Opp.voltage]'s float result
+       would come back boxed. *)
+    let table = soc.opps.(i) in
+    let k = Opp.index table f in
     if f <> soc.freqs.(i) then begin
-      soc.freqs.(i) <- f;
-      soc.volts.(i) <- Opp.voltage soc.opps.(i) f
+      soc.volts.(i) <- table.Opp.volts.(k);
+      soc.freqs.(i) <- f
     end;
     f
   end
+
+let set_frequency soc i f_mhz =
+  check_cluster soc i;
+  set_opp soc i (Opp.nearest soc.opps.(i) f_mhz)
 
 let set_active_cores soc i n =
   check_cluster soc i;

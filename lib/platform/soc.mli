@@ -98,6 +98,14 @@ val set_frequency : t -> int -> float -> int
     returned — callers must treat the return value as the ground truth
     of what was applied. *)
 
+val set_opp : t -> int -> int -> int
+(** [set_opp soc cluster f] is {!set_frequency} for a request already
+    quantized: [f] must be an OPP of the cluster's table (such as
+    {!Opp.resolve} returns) — [Invalid_argument] otherwise, unless a
+    fault already makes the cluster ignore requests.  The
+    integer request is what lets the actuation tick path reach the SoC
+    without boxing a float. *)
+
 val frequency : t -> int -> int
 
 val set_active_cores : t -> int -> int -> unit

@@ -3,15 +3,15 @@
    Four properties keep the steady-state tick path honest:
 
    - allocation budgets: Soc.step_into and Supervisor.step must
-     allocate EXACTLY zero bytes per call once warm — a boxed float or
-     a closure creeping back into the hot path fails here, attributed
-     to the right kernel;
+     allocate EXACTLY zero bytes per call once warm, and so must a whole
+     warm SPECTR / SPECTR+G run through Scenario.tick — a boxed float or
+     a closure creeping back into the hot path fails here;
    - byte-identity: the hot-path rewrites (index-native supervisor,
      in-place MIMO step, buffer-reusing scenario loop, memoized gain
      design) must not change any trace — scenario CSV digests are
      pinned to their pre-refactor values;
-   - the _into variants must be bit-identical to their allocating
-     counterparts (Mimo.step_into / Kalman.correct_into);
+   - the fused LQG kernel (Mimo.step_into) must be bit-identical to a
+     naive reference built from the allocating matrix algebra;
    - batch equivalence: a warm Arena checkout must behave exactly like
      a freshly built manager.
 
@@ -60,6 +60,11 @@ let test_soc_step_into_zero_alloc () =
     (Printf.sprintf "Soc.step_into steady state: %.3f B/call" per_iter)
     true (per_iter < 1.0)
 
+(* Literal float arguments are statically allocated boxes, so a loop
+   that passes constants never sees the boxing a real caller pays.  The
+   managers drive the supervisor through [step_sample] with measurements
+   computed at run time; that path must allocate nothing, and the
+   labelled [step] must add nothing beyond its caller's boxes. *)
 let test_supervisor_step_zero_alloc () =
   let commands =
     {
@@ -68,10 +73,30 @@ let test_supervisor_step_zero_alloc () =
     }
   in
   let sup = Spectr.Supervisor.create ~commands ~envelope:2.0 () in
-  for _ = 1 to 500 do
-    Spectr.Supervisor.step sup ~qos:30.0 ~qos_ref:30.0 ~power:1.5
-      ~envelope:2.0
-  done;
+  let s = Spectr.Supervisor.sample () in
+  (* Measurements that sweep the power bands, so the budget policy
+     fires rebudget and gain-switch actions along the way. *)
+  let drive n =
+    for i = 1 to n do
+      let x = float_of_int (i land 63) in
+      s.Spectr.Supervisor.qos <- 25. +. (0.2 *. x);
+      s.Spectr.Supervisor.qos_ref <- 30.;
+      s.Spectr.Supervisor.power <- 1.2 +. (0.02 *. x);
+      s.Spectr.Supervisor.envelope <- (if i land 512 = 0 then 2.0 else 1.6);
+      Spectr.Supervisor.step_sample sup s
+    done
+  in
+  drive 500;
+  (* Exact count: an action that boxes only now and then would hide
+     below a bytes-per-call threshold. *)
+  let w0 = Gc.minor_words () in
+  drive 100_000;
+  let w1 = Gc.minor_words () in
+  if w1 -. w0 <> 0. then
+    Alcotest.failf
+      "Supervisor.step_sample, run-time inputs: %.0f minor words over 100000 \
+       calls"
+      (w1 -. w0);
   let per_iter =
     bytes_per_iter 100_000 (fun n ->
         for _ = 1 to n do
@@ -80,8 +105,51 @@ let test_supervisor_step_zero_alloc () =
         done)
   in
   check_bool
-    (Printf.sprintf "Supervisor.step steady state: %.3f B/call" per_iter)
+    (Printf.sprintf "Supervisor.step, constant inputs: %.3f B/call" per_iter)
     true (per_iter < 1.0)
+
+(* End to end: a warm manager driven through [Scenario.tick] for a whole
+   run.  Minor-heap words over the ticks only (the runner and manager
+   are built first), required to be exactly zero: any boxed float, option
+   or closure on the tick path shows up as a nonzero count. *)
+let minor_words_over_ticks ~manager cfg =
+  let r = Spectr.Scenario.start cfg in
+  let w0 = Gc.minor_words () in
+  while Option.is_some (Spectr.Scenario.tick r ~manager) do
+    ()
+  done;
+  let w1 = Gc.minor_words () in
+  (w1 -. w0, Spectr.Scenario.ticks_done r)
+
+let zero_alloc_platforms =
+  [ Platform_desc.exynos5422; Platform_desc.pixel8pro; Platform_desc.k_cluster 4 ]
+
+let check_zero_alloc_ticks ~guarded platform =
+  let make () =
+    let guards =
+      if guarded then
+        Some
+          (Spectr.Guarded.create ~clusters:(Platform_desc.num_clusters platform) ())
+      else None
+    in
+    fst (Spectr.Spectr_manager.make ?guards ~platform ())
+  in
+  (* Warm: gain design and supervisor synthesis are memoized. *)
+  ignore (make ());
+  let cfg = Spectr.Scenario.default_config ~platform Benchmarks.x264 in
+  let words, ticks = minor_words_over_ticks ~manager:(make ()) cfg in
+  check_int "whole run ticked" (Spectr.Scenario.total_ticks cfg) ticks;
+  if words <> 0. then
+    Alcotest.failf "%s on %s: %.0f minor words over %d ticks (%.2f B/tick)"
+      (if guarded then "SPECTR+G" else "SPECTR")
+      (Platform_desc.name platform) words ticks
+      (words *. float_of_int (Sys.word_size / 8) /. float_of_int ticks)
+
+let test_scenario_tick_zero_alloc () =
+  List.iter (check_zero_alloc_ticks ~guarded:false) zero_alloc_platforms
+
+let test_guarded_tick_zero_alloc () =
+  List.iter (check_zero_alloc_ticks ~guarded:true) zero_alloc_platforms
 
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
@@ -217,18 +285,255 @@ let test_mimo_step_into_equals_step () =
   (* Full state agreement, not just the commands. *)
   check_bool "snapshots equal" true (Mimo.snapshot c1 = Mimo.snapshot c2)
 
-let test_kalman_correct_into_equals_correct () =
-  let l = Matrix.init ~rows:2 ~cols:2 (fun i j -> 0.1 +. float_of_int (i + (2 * j))) in
-  let c = Matrix.init ~rows:2 ~cols:2 (fun i j -> if i = j then 1.0 else 0.3) in
-  let xhat = Matrix.init ~rows:2 ~cols:1 (fun i _ -> 0.5 +. float_of_int i) in
-  let y = Matrix.init ~rows:2 ~cols:1 (fun i _ -> 1.1 *. float_of_int (i + 1)) in
-  let pure = Kalman.correct ~l ~c ~xhat ~y in
-  let dst = Matrix.zeros ~rows:2 ~cols:1 in
-  let tmp_p = Matrix.zeros ~rows:2 ~cols:1 in
-  let tmp_n = Matrix.zeros ~rows:2 ~cols:1 in
-  Kalman.correct_into ~l ~c ~xhat ~y ~tmp_p ~tmp_n ~dst;
-  check_bool "bit-identical correction" true
-    (Matrix.to_arrays pure = Matrix.to_arrays dst)
+(* ------------------------------------------------------------------ *)
+(* Fused LQG kernel against a naive matrix reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The control law written the obvious way, from the allocating
+   [Matrix] algebra, [Kalman.correct] and [Float.min]/[Float.max]: the
+   oracle that fixes what [Mimo.step_into]'s flat kernel must compute,
+   bit for bit, including NaN, infinities and signed zeros. *)
+module Naive = struct
+  type t = {
+    sets : (string * Lqg.gains) list;
+    mutable g : Lqg.gains;
+    inputs : Mimo.channel array;
+    outputs : Mimo.channel array;
+    refs : float array;
+    z_clamp : float;
+    mutable xhat : Matrix.t;
+    mutable z : Matrix.t;
+    mutable u_prev : Matrix.t;
+    mutable innov : float;
+    mutable last : float array option;
+  }
+
+  let create ~sets ~initial ~inputs ~outputs ~refs ~z_clamp =
+    let n, m, p =
+      let model = (List.assoc initial sets).Lqg.model in
+      ( Statespace.order model,
+        Statespace.num_inputs model,
+        Statespace.num_outputs model )
+    in
+    {
+      sets;
+      g = List.assoc initial sets;
+      inputs;
+      outputs;
+      refs = Array.copy refs;
+      z_clamp;
+      xhat = Matrix.zeros ~rows:n ~cols:1;
+      z = Matrix.zeros ~rows:p ~cols:1;
+      u_prev = Matrix.zeros ~rows:m ~cols:1;
+      innov = 0.;
+      last = None;
+    }
+
+  let normalize (ch : Mimo.channel) v = (v -. ch.offset) /. ch.scale
+
+  (* Returns the Kalman-corrected state along with the command. *)
+  let step t measured =
+    let g = t.g in
+    let model = g.Lqg.model in
+    let y =
+      Matrix.col_vector (Array.mapi (fun i v -> normalize t.outputs.(i) v) measured)
+    in
+    let r =
+      Matrix.col_vector (Array.mapi (fun i v -> normalize t.outputs.(i) v) t.refs)
+    in
+    let xf = Kalman.correct ~l:g.Lqg.l ~c:model.Statespace.c ~xhat:t.xhat ~y in
+    let e = Matrix.sub y (Matrix.mul model.Statespace.c t.xhat) in
+    t.innov <-
+      Float.sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0. (Matrix.col e 0));
+    let zc = Matrix.add (Matrix.scale g.Lqg.leak t.z) (Matrix.sub r y) in
+    let u = Matrix.neg (Matrix.add (Matrix.mul g.Lqg.kx xf) (Matrix.mul g.Lqg.kz zc)) in
+    let cmd =
+      Array.mapi
+        (fun i v ->
+          let ch = t.inputs.(i) in
+          Float.min ch.Mimo.max (Float.max ch.Mimo.min ((v *. ch.Mimo.scale) +. ch.Mimo.offset)))
+        (Matrix.col u 0)
+    in
+    t.u_prev <- Matrix.col_vector (Array.mapi (fun i v -> normalize t.inputs.(i) v) cmd);
+    t.z <- Matrix.map (fun v -> Float.max (-.t.z_clamp) (Float.min t.z_clamp v)) zc;
+    t.xhat <-
+      Matrix.add (Matrix.mul model.Statespace.a xf) (Matrix.mul model.Statespace.b t.u_prev);
+    t.last <- Some cmd;
+    (cmd, xf)
+
+  (* The bumpless transfer of [Mimo.switch_gains], same algebra. *)
+  let switch_gains t label =
+    let g = List.assoc label t.sets in
+    if g != t.g then begin
+      let contribution = Matrix.mul t.g.Lqg.kz t.z in
+      let kzt = Matrix.transpose g.Lqg.kz in
+      let gram =
+        Matrix.add (Matrix.mul kzt g.Lqg.kz)
+          (Matrix.scale 1e-9 (Matrix.identity (Matrix.rows t.z)))
+      in
+      (match Matrix.solve gram (Matrix.mul kzt contribution) with
+      | z -> t.z <- z
+      | exception Failure _ -> ());
+      t.g <- g
+    end
+
+  let restore t (s : Mimo.snapshot) =
+    t.g <- List.assoc s.Mimo.snap_active t.sets;
+    Array.blit s.Mimo.snap_refs 0 t.refs 0 (Array.length t.refs);
+    t.xhat <- Matrix.of_arrays s.Mimo.snap_xhat;
+    t.z <- Matrix.of_arrays s.Mimo.snap_z;
+    t.u_prev <- Matrix.of_arrays s.Mimo.snap_u_prev;
+    t.last <- Option.map Array.copy s.Mimo.snap_last
+end
+
+(* Bit equality, except that any two NaNs agree: on x86 the payload a
+   NaN operand passes through a commutative [+.] or [*.] depends on
+   which operand the register allocator put first, not on the source
+   order.  Signed zeros, infinities and NaN-versus-number are exact.
+   (No NaN the controller computes reaches a trace: commands are
+   sanitized before actuation.) *)
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  || (Float.is_nan a && Float.is_nan b)
+
+(* These run ~100k times per case, so they fail loudly but log nothing
+   on success. *)
+let check_bits what a b =
+  if not (same_bits a b) then
+    Alcotest.failf "%s: %h (naive) <> %h (fused)" what a b
+
+let check_bits_array what a b =
+  if Array.length a <> Array.length b then
+    Alcotest.failf "%s: length %d <> %d" what (Array.length a) (Array.length b);
+  Array.iteri (fun i v -> check_bits (Printf.sprintf "%s.(%d)" what i) v b.(i)) a
+
+let check_column what mat rows =
+  check_bits_array what (Matrix.col mat 0) (Array.map (fun r -> r.(0)) rows)
+
+let check_agrees what (nv : Naive.t) c =
+  let s = Mimo.snapshot c in
+  if nv.Naive.g.Lqg.label <> s.Mimo.snap_active then
+    Alcotest.failf "%s: active set %s <> %s" what nv.Naive.g.Lqg.label
+      s.Mimo.snap_active;
+  check_bits (what ^ " innovation norm") nv.Naive.innov (Mimo.last_innovation_norm c);
+  check_bits_array (what ^ " refs") nv.Naive.refs s.Mimo.snap_refs;
+  check_column (what ^ " xhat") nv.Naive.xhat s.Mimo.snap_xhat;
+  check_column (what ^ " z") nv.Naive.z s.Mimo.snap_z;
+  check_column (what ^ " u_prev") nv.Naive.u_prev s.Mimo.snap_u_prev;
+  match (nv.Naive.last, s.Mimo.snap_last) with
+  | None, None -> ()
+  | Some a, Some b -> check_bits_array (what ^ " last") a b
+  | _ -> Alcotest.failf "%s: last command presence differs" what
+
+(* A matrix with roughly a third of its entries exactly zero (signed
+   either way), the rest uniform in ±[span]. *)
+let random_matrix st ~rows ~cols ~span =
+  Matrix.init ~rows ~cols (fun _ _ ->
+      match Random.State.int st 6 with
+      | 0 | 1 -> 0.
+      | 2 -> -0.
+      | _ -> Random.State.float st (2. *. span) -. span)
+
+let random_gains st ~label ~n ~m ~p ~identity_a =
+  let a =
+    if identity_a then Matrix.identity n
+    else random_matrix st ~rows:n ~cols:n ~span:(0.9 /. float_of_int n)
+  in
+  let b =
+    if identity_a then Matrix.zeros ~rows:n ~cols:m
+    else random_matrix st ~rows:n ~cols:m ~span:1.
+  in
+  {
+    Lqg.label;
+    model = Statespace.create ~a ~b ~c:(random_matrix st ~rows:p ~cols:n ~span:1.) ();
+    kx = random_matrix st ~rows:m ~cols:n ~span:1.;
+    kz = random_matrix st ~rows:m ~cols:p ~span:0.5;
+    l = random_matrix st ~rows:n ~cols:p ~span:0.5;
+    leak = (if Random.State.bool st then 1. else 0.9 +. Random.State.float st 0.1);
+  }
+
+let specials = [| nan; infinity; neg_infinity; 0.; -0. |]
+
+(* One seeded case: a random controller stepped 120 periods beside its
+   naive twin, with special measurements, mid-run gain switches and
+   restores of an earlier snapshot (which also clears any NaN a special
+   measurement left in the state). *)
+let kernel_case seed =
+  let st = Random.State.make [| seed |] in
+  let n = 1 + Random.State.int st 10 in
+  let m = 1 + Random.State.int st 3 in
+  let p = 1 + Random.State.int st 3 in
+  (* Some cases use A = I, B = 0, where the next predicted state is the
+     Kalman-corrected state itself: then [snapshot] exposes the fused
+     kernel's measurement update for direct comparison with
+     [Kalman.correct]. *)
+  let identity_a = seed mod 4 = 0 in
+  let labels = [ "g0"; "g1"; "g2" ] in
+  let sets =
+    List.map (fun label -> (label, random_gains st ~label ~n ~m ~p ~identity_a)) labels
+  in
+  let inputs =
+    Array.init m (fun i ->
+        let offset = Random.State.float st 2. -. 1. in
+        let scale = (if Random.State.bool st then 1. else -1.) *. (0.5 +. Random.State.float st 2.) in
+        (* Every other actuator saturates tightly around its offset. *)
+        let half = if i mod 2 = 0 then 0.05 else 50. in
+        Mimo.channel ~offset ~scale ~min:(offset -. half) ~max:(offset +. half)
+          (Printf.sprintf "u%d" i))
+  in
+  let outputs =
+    Array.init p (fun i ->
+        Mimo.channel ~offset:(Random.State.float st 4.)
+          ~scale:(0.5 +. Random.State.float st 3.)
+          (Printf.sprintf "y%d" i))
+  in
+  let refs = Array.init p (fun _ -> Random.State.float st 5.) in
+  let z_clamp = 0.5 +. Random.State.float st 3. in
+  let fused =
+    Mimo.create ~z_clamp ~gains:(List.map snd sets) ~initial:"g0" ~inputs ~outputs ~refs ()
+  in
+  let naive = Naive.create ~sets ~initial:"g0" ~inputs ~outputs ~refs ~z_clamp in
+  let what t = Printf.sprintf "seed %d (n=%d m=%d p=%d) step %d" seed n m p t in
+  let saved = ref (Mimo.snapshot fused) in
+  let dst = Array.make m 0. in
+  for t = 0 to 119 do
+    let measured =
+      Array.init p (fun _ ->
+          if Random.State.int st 10 = 0 then
+            specials.(Random.State.int st (Array.length specials))
+          else Random.State.float st 8. -. 2.)
+    in
+    let cmd, xf = Naive.step naive measured in
+    Mimo.step_into fused ~measured ~dst;
+    check_bits_array (what t ^ " command") cmd dst;
+    check_agrees (what t) naive fused;
+    (* With A = I and B = 0 the time update is x' = (0 + 1·x_f) + 0,
+       which is x_f with -0 turned to +0 — i.e. [v +. 0.]. *)
+    if identity_a then
+      check_bits_array (what t ^ " Kalman-corrected state")
+        (Array.map (fun v -> v +. 0.) (Matrix.col xf 0))
+        (Array.map (fun r -> r.(0)) (Mimo.snapshot fused).Mimo.snap_xhat);
+    (match t mod 30 with
+    | 9 ->
+        let label = List.nth labels (Random.State.int st 3) in
+        Naive.switch_gains naive label;
+        Mimo.switch_gains fused label;
+        check_agrees (what t ^ " after switch") naive fused
+    | 19 ->
+        Naive.restore naive !saved;
+        Mimo.restore fused !saved;
+        check_agrees (what t ^ " after restore") naive fused
+    | 24 ->
+        Mimo.set_reference fused ~index:(t mod p) 3.;
+        naive.Naive.refs.(t mod p) <- 3.
+    | _ -> ());
+    if t mod 40 = 5 then saved := Mimo.snapshot fused
+  done
+
+let test_fused_kernel_matches_naive () =
+  for seed = 1 to 200 do
+    kernel_case seed
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Power-threshold boundaries: metrics 1.02 vs invariants 1.05         *)
@@ -369,6 +674,10 @@ let () =
             test_soc_step_into_zero_alloc;
           Alcotest.test_case "Supervisor.step zero-alloc" `Quick
             test_supervisor_step_zero_alloc;
+          Alcotest.test_case "Scenario.tick SPECTR 0 B/tick" `Quick
+            test_scenario_tick_zero_alloc;
+          Alcotest.test_case "Scenario.tick SPECTR+G 0 B/tick" `Quick
+            test_guarded_tick_zero_alloc;
         ] );
       ( "byte-identity",
         [
@@ -388,8 +697,8 @@ let () =
         [
           Alcotest.test_case "Mimo.step_into = step" `Slow
             test_mimo_step_into_equals_step;
-          Alcotest.test_case "Kalman.correct_into = correct" `Quick
-            test_kalman_correct_into_equals_correct;
+          Alcotest.test_case "fused kernel = naive reference" `Quick
+            test_fused_kernel_matches_naive;
         ] );
       ( "thresholds",
         [

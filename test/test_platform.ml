@@ -980,6 +980,61 @@ let test_desc_find_cluster () =
     "unknown cluster" None
     (Platform_desc.find_cluster p "gpu")
 
+(* The digest is computed once, in [create]: it must still be the MD5 of
+   the canonical serialization for every way a description is made. *)
+let test_desc_digest_cached () =
+  let md5 p = Digest.to_hex (Digest.string (Platform_desc.to_csv_string p)) in
+  let check p =
+    Alcotest.(check string)
+      (Platform_desc.name p ^ " digest = MD5 of to_csv_string")
+      (md5 p) (Platform_desc.digest p)
+  in
+  let pixel = Platform_desc.pixel8pro in
+  let all =
+    Platform_desc.builtins ()
+    @ [
+        Platform_desc.k_cluster 3;
+        Platform_desc.k_cluster 5;
+        Platform_desc.degrade pixel (Platform_desc.Remove_cluster 2);
+        Platform_desc.degrade pixel
+          (Platform_desc.Pin_opp { cluster = 0; freq_mhz = 1100 });
+      ]
+  in
+  List.iter check all;
+  List.iter
+    (fun p ->
+      match Platform_desc.of_csv_string (Platform_desc.to_csv_string p) with
+      | Ok q -> check q
+      | Error e ->
+          Alcotest.failf "%s: %s" (Platform_desc.name p)
+            (Format.asprintf "%a" Platform_desc.pp_parse_error e))
+    all
+
+(* A cached digest needs an immutable description: neither the array
+   handed to [create] nor the one [clusters] returns may alias it. *)
+let test_desc_immutable () =
+  let base = Platform_desc.exynos5422 in
+  let digest0 = Platform_desc.digest base in
+  let csv0 = Platform_desc.to_csv_string base in
+  let swapped = Platform_desc.cluster base 1 in
+  let returned = Platform_desc.clusters base in
+  returned.(0) <- swapped;
+  Alcotest.(check string) "clusters copy: digest" digest0 (Platform_desc.digest base);
+  Alcotest.(check string) "clusters copy: description" csv0
+    (Platform_desc.to_csv_string base);
+  let given = Platform_desc.clusters base in
+  let p =
+    Platform_desc.create ~name:"copy" ~clusters:given
+      ~host:(Platform_desc.host base) ~thermal:(Platform_desc.thermal base)
+  in
+  let digest1 = Platform_desc.digest p and csv1 = Platform_desc.to_csv_string p in
+  given.(0) <- { swapped with Platform_desc.cl_name = "other" };
+  Alcotest.(check string) "create copy: digest" digest1 (Platform_desc.digest p);
+  Alcotest.(check string) "create copy: description" csv1
+    (Platform_desc.to_csv_string p);
+  Alcotest.(check string) "create copy: cluster name" "big"
+    (Platform_desc.cluster_name p 0)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1103,6 +1158,9 @@ let () =
           Alcotest.test_case "csv parse errors" `Quick test_desc_csv_errors;
           Alcotest.test_case "k-cluster generator" `Quick test_desc_k_cluster;
           Alcotest.test_case "find cluster" `Quick test_desc_find_cluster;
+          Alcotest.test_case "digest computed once" `Quick
+            test_desc_digest_cached;
+          Alcotest.test_case "description immutable" `Quick test_desc_immutable;
         ] );
       ( "integration",
         [

@@ -232,8 +232,8 @@ let test_platform_event_flow () =
     {
       Supervisor.switch_gains = (fun l -> gains := l :: !gains);
       set_power_ref =
-        (fun i v ->
-          refs.(i) <- v;
+        (fun i budgets ->
+          refs.(i) <- budgets.(i);
           sets.(i) <- sets.(i) + 1);
     }
   in
@@ -294,7 +294,8 @@ let make_mock () =
     {
       Supervisor.switch_gains = (fun l -> m.gains <- l :: m.gains);
       set_power_ref =
-        (fun i v -> if i = 0 then m.big_ref <- v else m.little_ref <- v);
+        (fun i budgets ->
+          if i = 0 then m.big_ref <- budgets.(i) else m.little_ref <- budgets.(i));
     }
   in
   (m, commands)
@@ -1044,7 +1045,7 @@ let test_guarded_filter_never_nonfinite () =
           ~now:(0.3 +. (float_of_int i *. 0.05))
           ~qos:v ~powers:[| v; v |]
       in
-      check_bool "qos finite" true (Float.is_finite f.Guarded.qos);
+      check_bool "qos finite" true (Float.is_finite f.Guarded.qos.(0));
       check_bool "big finite" true (Float.is_finite f.Guarded.powers.(0));
       check_bool "little finite" true (Float.is_finite f.Guarded.powers.(1));
       check_bool "flagged unhealthy" false f.Guarded.healthy)
@@ -1173,15 +1174,15 @@ let test_guarded_actuator_watchdog () =
 
 let test_manager_sanitize () =
   check_float "nan freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big nan);
+    (Opp.request_mhz Opp.big nan);
   check_float "+inf freq -> max OPP" 2000.
-    (Manager.sanitize_freq_mhz Opp.big infinity);
+    (Opp.request_mhz Opp.big infinity);
   check_float "-inf freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big neg_infinity);
+    (Opp.request_mhz Opp.big neg_infinity);
   check_float "negative freq -> min OPP" 200.
-    (Manager.sanitize_freq_mhz Opp.big (-0.4 *. 1000.));
+    (Opp.request_mhz Opp.big (-0.4 *. 1000.));
   check_float "finite passes through" 1234.
-    (Manager.sanitize_freq_mhz Opp.big 1.234);
+    (Opp.request_mhz Opp.big 1.234);
   check_int "nan cores -> 1" 1 (Manager.sanitize_cores nan);
   check_int "+inf cores -> 4" 4 (Manager.sanitize_cores infinity);
   check_int "-inf cores -> 1" 1 (Manager.sanitize_cores neg_infinity);
