@@ -169,6 +169,10 @@ let pp_cell c =
     (100. *. c.qos_frac) tail
 
 let run () =
+  (* Re-synthesis is timed on the installed obs clock: wall seconds from
+     CLOCK_MONOTONIC, not the deterministic tick counter (under which
+     every re-synthesis reads 0). *)
+  Spectr_obs.Clock.use_monotonic Monotonic_clock.now;
   Util.heading
     "Reconfiguration: permanent faults x platforms, x264 (5 W envelope, \
      fault latched at 2 s, background disturbance 8-12 s)";

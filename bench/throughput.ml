@@ -5,8 +5,8 @@
    - the zero-allocation kernels themselves (Soc.step_into,
      Supervisor.step): steady-state bytes allocated per call must be
      exactly zero, and the call cost is a few hundred nanoseconds; so
-     must a whole warm SPECTR and SPECTR+G run through Scenario.tick
-     on each built-in platform shape (0 B/tick);
+     must a whole warm SPECTR, SPECTR+G and SPECTR+R run through
+     Scenario.tick on each built-in platform shape (0 B/tick);
    - the one-shot scenario loop (platform + manager + trace): ticks/s
      and bytes/tick on a single domain;
    - the batch arena: many scenario cells fanned out across the domain
@@ -51,18 +51,20 @@ let gate_alloc name per_iter =
 
 (* --- kernel microbenches ---------------------------------------------- *)
 
-(* A whole x264 run of a warm SPECTR (or SPECTR+G) manager through
-   Scenario.tick, counting minor-heap words over the ticks only: the
-   budget is exactly zero. *)
-let scenario_gate ~guarded platform =
+(* A whole x264 run of a warm SPECTR, SPECTR+G or SPECTR+R manager
+   through Scenario.tick, counting minor-heap words over the ticks only:
+   the budget is exactly zero. *)
+let scenario_gate variant platform =
   let make () =
-    let guards =
-      if guarded then
-        Some
-          (Spectr.Guarded.create ~clusters:(Platform_desc.num_clusters platform) ())
-      else None
-    in
-    fst (Spectr.Spectr_manager.make ?guards ~platform ())
+    let clusters = Platform_desc.num_clusters platform in
+    match variant with
+    | "SPECTR" -> fst (Spectr.Spectr_manager.make ~platform ())
+    | "SPECTR+G" ->
+        let guards = Spectr.Guarded.create ~clusters () in
+        fst (Spectr.Spectr_manager.make ~guards ~platform ())
+    | "SPECTR+R" ->
+        fst (Spectr.Spectr_manager.make_reconfigurable ~platform ())
+    | v -> invalid_arg ("scenario_gate: " ^ v)
   in
   ignore (make ());
   let manager = make () in
@@ -80,8 +82,7 @@ let scenario_gate ~guarded platform =
     /. float_of_int (Spectr.Scenario.ticks_done r)
   in
   let name =
-    Printf.sprintf "Scenario.tick (%s, %s)"
-      (if guarded then "SPECTR+G" else "SPECTR")
+    Printf.sprintf "Scenario.tick (%s, %s)" variant
       (Platform_desc.name platform)
   in
   if w1 -. w0 <> 0. then
@@ -130,14 +131,14 @@ let kernel_section () =
   sup_step 1_000;
   gate_alloc "Supervisor.step" (bytes_per_iter iters sup_step);
   List.iter
-    (fun guarded ->
-      List.iter (scenario_gate ~guarded)
+    (fun variant ->
+      List.iter (scenario_gate variant)
         [
           Platform_desc.exynos5422;
           Platform_desc.pixel8pro;
           Platform_desc.k_cluster 4;
         ])
-    [ false; true ];
+    [ "SPECTR"; "SPECTR+G"; "SPECTR+R" ];
   if not !smoke then begin
     Printf.printf "  %-18s %6.0f ns/call\n" "Soc.step_into"
       (seconds_per_iter iters soc_step *. 1e9);

@@ -338,7 +338,7 @@ let reset ctrl =
 
 let num_inputs ctrl = ctrl.m
 let num_outputs ctrl = ctrl.p
-let last_innovation_norm ctrl = ctrl.sc.innov
+let innovation_norm_into ctrl dst i = dst.(i) <- ctrl.sc.innov
 
 let last_command ctrl =
   if ctrl.last_valid then Some (Array.copy ctrl.last) else None

@@ -98,13 +98,15 @@ val num_outputs : t -> int
 val last_command : t -> float array option
 (** Most recent actuator command, if any step has executed. *)
 
-val last_innovation_norm : t -> float
-(** ‖y − C·x̂‖₂ of the last step's Kalman measurement update, in
+val innovation_norm_into : t -> float array -> int -> unit
+(** [innovation_norm_into c dst i] writes into [dst.(i)] the
+    ‖y − C·x̂‖₂ of the last step's Kalman measurement update, in
     normalized output units — how badly the last measurement surprised
     the identified model.  A persistently large residual means the plant
     no longer matches the model (dead sensor, dead cluster, latched
     actuator); the FDIR layer ([Spectr.Fdir]) watches this.  0 before
-    the first step and after {!reset}. *)
+    the first step and after {!reset}.  The norm travels in a float
+    array, so reading it allocates nothing. *)
 
 (** {1 Checkpoint/restore}
 

@@ -13,7 +13,7 @@
    - {e actuation mismatches}: the per-cluster readback comparison the
      guarded layer already performs (requested OPP vs. applied OPP);
    - {e Kalman innovation residuals}: ‖y − C·x̂‖₂ from each cluster's
-     MIMO controller ({!Mimo.last_innovation_norm}), the
+     MIMO controller ({!Mimo.innovation_norm_into}), the
      model-consistency signal that flags a plant that stopped matching
      its identified model.  Residuals corroborate and are surfaced as
      verdicts/counters, but never drive reconfiguration on their own —
@@ -74,14 +74,16 @@ type t = {
   mutable qos_zero : int;
   act_bad : int array; (* per cluster: actuation readback mismatches *)
   innov_high : int array; (* per cluster: residual above threshold *)
-  (* Classification stages per monitored channel. *)
-  pow_stage : int array;
-  mutable qos_stage : int;
-  act_stage : int array;
-  innov_stage : int array;
+  (* Classification stage per monitored channel: power 0..k-1, dvfs
+     k..2k-1, model (innovation residual) 2k..3k-1, qos 3k. *)
+  stage : int array;
   (* Permanent findings awaiting {!poll}; emitted exactly once. *)
   mutable pending : finding list;
 }
+
+let[@inline] dvfs_ch t i = t.k + i
+let[@inline] model_ch t i = (2 * t.k) + i
+let[@inline] qos_ch t = 3 * t.k
 
 let create ?(transient_ticks = 6) ?(permanent_ticks = 60)
     ?(innovation_threshold = 4.0) ~k ~host () =
@@ -102,61 +104,39 @@ let create ?(transient_ticks = 6) ?(permanent_ticks = 60)
     qos_zero = 0;
     act_bad = Array.make k 0;
     innov_high = Array.make k 0;
-    pow_stage = Array.make k quiet;
-    qos_stage = quiet;
-    act_stage = Array.make k quiet;
-    innov_stage = Array.make k quiet;
+    stage = Array.make ((3 * k) + 1) quiet;
     pending = [];
   }
 
-let log_verdict ~channel ~verdict =
+(* The channel's decision-log label, built only when a verdict is
+   logged. *)
+let channel_name t c =
+  if c = qos_ch t then "qos"
+  else
+    let group = match c / t.k with 0 -> "power" | 1 -> "dvfs" | _ -> "model" in
+    group ^ string_of_int (c mod t.k)
+
+let log_verdict t c ~verdict =
   (match verdict with
   | "transient" -> Obs.Counters.incr c_transient
   | "permanent" -> Obs.Counters.incr c_permanent
   | _ -> Obs.Counters.incr c_cleared);
   if Obs.enabled () then
-    Obs.Decision_log.record (Obs.Decision_log.Fdir { channel; verdict })
+    Obs.Decision_log.record
+      (Obs.Decision_log.Fdir { channel = channel_name t c; verdict })
 
-(* Advance one channel's stage machine given its current streak; calls
-   [isolate ()] exactly once, at the permanent crossing, to produce the
-   finding (or [None] for corroborating-only channels). *)
-let classify t ~channel ~streak ~stage ~set_stage ~isolate =
-  if stage <> latched then begin
-    if streak >= t.permanent_ticks then begin
-      set_stage latched;
-      log_verdict ~channel ~verdict:"permanent";
-      match isolate () with
-      | None -> ()
-      | Some f -> t.pending <- f :: t.pending
-    end
-    else if streak >= t.transient_ticks then begin
-      if stage = quiet then begin
-        set_stage flagged;
-        log_verdict ~channel ~verdict:"transient"
-      end
-    end
-    else if streak = 0 && stage = flagged then begin
-      set_stage quiet;
-      log_verdict ~channel ~verdict:"cleared"
-    end
-  end
-
-let[@inline] bump streak hit = if hit then streak + 1 else 0
-
-let observe t ~qos ~powers ~ips =
-  if Array.length powers <> t.k then invalid_arg "Fdir.observe: powers length";
-  if Array.length ips <> t.k then invalid_arg "Fdir.observe: ips length";
-  for i = 0 to t.k - 1 do
-    t.pow_zero.(i) <- bump t.pow_zero.(i) (powers.(i) = 0.);
-    t.ips_zero.(i) <- bump t.ips_zero.(i) (ips.(i) = 0.)
-  done;
-  t.qos_zero <- bump t.qos_zero (qos = 0.);
-  for i = 0 to t.k - 1 do
-    classify t
-      ~channel:("power" ^ string_of_int i)
-      ~streak:t.pow_zero.(i) ~stage:t.pow_stage.(i)
-      ~set_stage:(fun s -> t.pow_stage.(i) <- s)
-      ~isolate:(fun () ->
+(* The finding a channel's permanent crossing produces ([None] for the
+   corroborating-only residual channels). *)
+let isolate t c =
+  if c = qos_ch t then
+    (* Host power also permanently zero means the host cluster is dead
+       — the power channel's finding already covers it. *)
+    if t.pow_zero.(t.host) >= t.permanent_ticks then None
+    else Some Qos_sensor_down
+  else
+    let i = c mod t.k in
+    match c / t.k with
+    | 0 ->
         (* Dead sensor vs. dead cluster: does anything else prove the
            cluster is still executing?  The host's execution witness is
            the heartbeat rate (its IPS aggregate is not materialized on
@@ -165,36 +145,66 @@ let observe t ~qos ~powers ~ips =
           if i = t.host then t.qos_zero < t.permanent_ticks
           else t.ips_zero.(i) < t.permanent_ticks
         in
-        if executing then Some (Power_sensor_down i) else Some (Cluster_down i))
+        if executing then Some (Power_sensor_down i) else Some (Cluster_down i)
+    | 1 -> Some (Dvfs_latched i)
+    | _ -> None
+
+(* Advance channel [c]'s stage machine given its current streak;
+   isolates exactly once, at the permanent crossing. *)
+let classify t c streak =
+  let stage = t.stage.(c) in
+  if stage <> latched then begin
+    if streak >= t.permanent_ticks then begin
+      t.stage.(c) <- latched;
+      log_verdict t c ~verdict:"permanent";
+      match isolate t c with
+      | None -> ()
+      | Some f -> t.pending <- f :: t.pending
+    end
+    else if streak >= t.transient_ticks then begin
+      if stage = quiet then begin
+        t.stage.(c) <- flagged;
+        log_verdict t c ~verdict:"transient"
+      end
+    end
+    else if streak = 0 && stage = flagged then begin
+      t.stage.(c) <- quiet;
+      log_verdict t c ~verdict:"cleared"
+    end
+  end
+
+let[@inline] bump streak hit = if hit then streak + 1 else 0
+
+let[@inline] observe_inline t qos powers ips =
+  if Array.length powers <> t.k then invalid_arg "Fdir.observe: powers length";
+  if Array.length ips <> t.k then invalid_arg "Fdir.observe: ips length";
+  for i = 0 to t.k - 1 do
+    t.pow_zero.(i) <- bump t.pow_zero.(i) (powers.(i) = 0.);
+    t.ips_zero.(i) <- bump t.ips_zero.(i) (ips.(i) = 0.)
   done;
-  classify t ~channel:"qos" ~streak:t.qos_zero ~stage:t.qos_stage
-    ~set_stage:(fun s -> t.qos_stage <- s)
-    ~isolate:(fun () ->
-      (* Host power also permanently zero means the host cluster is dead
-         — the power channel's finding already covers it. *)
-      if t.pow_zero.(t.host) >= t.permanent_ticks then None
-      else Some Qos_sensor_down)
+  t.qos_zero <- bump t.qos_zero (qos = 0.);
+  for i = 0 to t.k - 1 do
+    classify t i t.pow_zero.(i)
+  done;
+  classify t (qos_ch t) t.qos_zero
+
+let observe t ~qos ~powers ~ips = observe_inline t qos powers ips
+
+let observe_obs t obs ~powers ~ips =
+  observe_inline t obs.Spectr_platform.Soc.qos_rate powers ips
 
 let note_actuation t ~cluster ~ok =
   if cluster < 0 || cluster >= t.k then
     invalid_arg "Fdir.note_actuation: cluster";
   t.act_bad.(cluster) <- bump t.act_bad.(cluster) (not ok);
-  classify t
-    ~channel:("dvfs" ^ string_of_int cluster)
-    ~streak:t.act_bad.(cluster) ~stage:t.act_stage.(cluster)
-    ~set_stage:(fun s -> t.act_stage.(cluster) <- s)
-    ~isolate:(fun () -> Some (Dvfs_latched cluster))
+  classify t (dvfs_ch t cluster) t.act_bad.(cluster)
 
-let note_innovation t ~cluster ~norm =
+let note_innovation t ~cluster ~norms =
   if cluster < 0 || cluster >= t.k then
     invalid_arg "Fdir.note_innovation: cluster";
   t.innov_high.(cluster) <-
-    bump t.innov_high.(cluster) (norm > t.innovation_threshold);
-  classify t
-    ~channel:("model" ^ string_of_int cluster)
-    ~streak:t.innov_high.(cluster) ~stage:t.innov_stage.(cluster)
-    ~set_stage:(fun s -> t.innov_stage.(cluster) <- s)
-    ~isolate:(fun () -> None)
+    bump t.innov_high.(cluster) (norms.(cluster) > t.innovation_threshold);
+  classify t (model_ch t cluster) t.innov_high.(cluster)
 
 let poll t =
   match t.pending with
@@ -206,47 +216,4 @@ let poll t =
 let residual_flagged t ~cluster =
   if cluster < 0 || cluster >= t.k then
     invalid_arg "Fdir.residual_flagged: cluster";
-  t.innov_stage.(cluster) <> quiet
-
-(* --- checkpoint/restore ----------------------------------------------- *)
-
-type snapshot = {
-  snap_pow_zero : int array;
-  snap_ips_zero : int array;
-  snap_qos_zero : int;
-  snap_act_bad : int array;
-  snap_innov_high : int array;
-  snap_pow_stage : int array;
-  snap_qos_stage : int;
-  snap_act_stage : int array;
-  snap_innov_stage : int array;
-  snap_pending : finding list;
-}
-
-let snapshot t =
-  {
-    snap_pow_zero = Array.copy t.pow_zero;
-    snap_ips_zero = Array.copy t.ips_zero;
-    snap_qos_zero = t.qos_zero;
-    snap_act_bad = Array.copy t.act_bad;
-    snap_innov_high = Array.copy t.innov_high;
-    snap_pow_stage = Array.copy t.pow_stage;
-    snap_qos_stage = t.qos_stage;
-    snap_act_stage = Array.copy t.act_stage;
-    snap_innov_stage = Array.copy t.innov_stage;
-    snap_pending = t.pending;
-  }
-
-let restore t s =
-  if Array.length s.snap_pow_zero <> t.k then
-    invalid_arg "Fdir.restore: snapshot dimension mismatch";
-  Array.blit s.snap_pow_zero 0 t.pow_zero 0 t.k;
-  Array.blit s.snap_ips_zero 0 t.ips_zero 0 t.k;
-  t.qos_zero <- s.snap_qos_zero;
-  Array.blit s.snap_act_bad 0 t.act_bad 0 t.k;
-  Array.blit s.snap_innov_high 0 t.innov_high 0 t.k;
-  Array.blit s.snap_pow_stage 0 t.pow_stage 0 t.k;
-  t.qos_stage <- s.snap_qos_stage;
-  Array.blit s.snap_act_stage 0 t.act_stage 0 t.k;
-  Array.blit s.snap_innov_stage 0 t.innov_stage 0 t.k;
-  t.pending <- s.snap_pending
+  t.stage.(model_ch t cluster) <> quiet

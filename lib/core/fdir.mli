@@ -3,7 +3,7 @@
     Classifies runtime faults as transient-vs-permanent and names the
     failed channel, from sensor-visible evidence only: exact-zero
     streaks on power/QoS/IPS channels, actuation readback mismatches,
-    and Kalman innovation residuals ({!Mimo.last_innovation_norm}) as a
+    and Kalman innovation residuals ({!Mimo.innovation_norm_into}) as a
     corroborating model-consistency monitor.  Persistence counters
     generalize {!Guarded}'s streak logic into a two-stage verdict:
 
@@ -16,8 +16,9 @@
 
     Every verdict increments an [fdir.*] counter and appends a
     [Decision_log.Fdir] entry when observability is enabled.  The
-    detector is deterministic, allocation-light, and never consults the
-    fault schedule or any other ground truth. *)
+    detector is deterministic, allocates nothing until a verdict is
+    logged or a finding latched, and never consults the fault schedule
+    or any other ground truth. *)
 
 type finding =
   | Cluster_down of int
@@ -67,11 +68,22 @@ val observe : t -> qos:float -> powers:float array -> ips:float array -> unit
     IPS aggregates ({!Soc.ips_totals}; the host entry is 0 by
     convention, which is why the host's execution witness is [qos]). *)
 
+val observe_obs :
+  t ->
+  Spectr_platform.Soc.observation ->
+  powers:float array ->
+  ips:float array ->
+  unit
+(** {!observe} with the heartbeat rate taken from the observation's
+    [qos_rate] — the manager's tick path: no float is boxed for the
+    call, so it allocates nothing. *)
+
 val note_actuation : t -> cluster:int -> ok:bool -> unit
 (** Feed one actuation readback comparison (requested OPP applied?). *)
 
-val note_innovation : t -> cluster:int -> norm:float -> unit
-(** Feed one controller's innovation-residual norm for this tick. *)
+val note_innovation : t -> cluster:int -> norms:float array -> unit
+(** Feed one controller's innovation-residual norm for this tick, read
+    from [norms.(cluster)] (a float array, so it crosses unboxed). *)
 
 val poll : t -> finding list
 (** Newly latched permanent findings since the last poll, oldest first.
@@ -81,11 +93,3 @@ val poll : t -> finding list
 val residual_flagged : t -> cluster:int -> bool
 (** Has the innovation-residual monitor flagged this cluster (transient
     or latched)?  Corroboration for tests and diagnostics. *)
-
-(** {1 Checkpoint/restore} *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] on dimension mismatch. *)

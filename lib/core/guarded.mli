@@ -17,7 +17,7 @@
       disagree with the genuine readings between them, so a spike is
       never adopted as the new level.
     + {e actuation clamping} — non-finite controller outputs never reach
-      the platform (see {!Manager.apply_cluster}).
+      the platform (see {!Manager.apply_command}).
     + {e watchdog} — [trip_count] consecutive periods of sensor loss or
       actuator disobedience degrade the manager to a conservative
       open-loop fallback (minimum-power OPP, one core per cluster,

@@ -1,8 +1,5 @@
 open Spectr_platform
 
-let src = Logs.Src.create "spectr.manager" ~doc:"Actuation path"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 module Obs = Spectr_obs
 
 (* Observability handles (no-ops while instrumentation is disabled). *)
@@ -70,8 +67,6 @@ let load_checkpoint ~path =
       in
       { variant; payload })
 
-type applied = { freq_mhz : int; cores : int }
-
 (* Non-finite or out-of-range core commands clamp to the nearest legal
    count — NaN conservatively to 1 — instead of silently becoming 0
    cores (which [int_of_float nan] produces). *)
@@ -101,22 +96,3 @@ let apply_command soc cluster cmd ~pos =
   let n = cores_of ~max_cores:(Soc.cluster_cores soc cluster) cores in
   Soc.set_active_cores soc cluster n;
   applied_freq = freq && Soc.active_cores soc cluster = n
-
-let apply_cluster soc cluster ~freq_ghz ~cores =
-  ignore (apply_command soc cluster [| freq_ghz; cores |] ~pos:0 : bool);
-  let applied =
-    {
-      freq_mhz = Soc.frequency soc cluster;
-      cores = Soc.active_cores soc cluster;
-    }
-  in
-  (* Guarded: [Log.debug]'s message closure would be allocated on every
-     actuation even with the level off. *)
-  (match Logs.Src.level src with
-  | Some Logs.Debug ->
-      Log.debug (fun m ->
-          m "%s: commanded %.3f GHz / %.2f cores, applied %d MHz / %d cores"
-            (Platform_desc.cluster_name (Soc.platform soc) cluster)
-            freq_ghz cores applied.freq_mhz applied.cores)
-  | _ -> ());
-  applied

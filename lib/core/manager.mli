@@ -75,13 +75,3 @@ val apply_command : Soc.t -> int -> float array -> pos:int -> bool
     fault they differ — that is how the guarded manager detects stuck
     actuators.  The tick path's actuator: taking the command as a float
     array, it allocates nothing. *)
-
-type applied = { freq_mhz : int; cores : int }
-(** What the platform actually did with a command: the quantized OPP
-    returned by {!Spectr_platform.Soc.set_frequency} and the core count
-    read back after gating. *)
-
-val apply_cluster : Soc.t -> int -> freq_ghz:float -> cores:float -> applied
-(** {!apply_command} for a (frequency GHz, core count) pair passed as
-    floats, returning what was actually applied.  The applied settings
-    are logged at debug level on the ["spectr.manager"] source. *)

@@ -6,7 +6,21 @@
     The supervisor runs every [supervisor_divisor] controller periods
     (default 2: 100 ms over a 50 ms loop, as in §5) and acts only through
     the two SCT mechanisms of §3.2 — gain scheduling and reference
-    (budget) regulation. *)
+    (budget) regulation.
+
+    Fault handling is one ladder — healthy → guarded → reconfigured →
+    open-loop fallback — run by one per-period step whose rungs are
+    present or absent per variant:
+
+    - ["SPECTR"] ({!make}): supervisor period and leaf loop only;
+    - ["SPECTR+G"] ({!make} [~guards]): plus the {!Guarded} sensor
+      filter, actuation readback watchdog and its open-loop fallback;
+    - ["SPECTR+R"] ({!make_reconfigurable}): plus the {!Fdir} detector
+      and the reconfiguration rungs (re-synthesis, swap window,
+      permanent fallback).
+
+    Until FDIR latches a permanent finding, SPECTR+R runs exactly the
+    SPECTR+G program (byte-identical traces). *)
 
 val make :
   ?seed:int64 ->
@@ -76,8 +90,9 @@ module Reconfig : sig
   val guard : handle -> Guarded.t
 
   val last_resynth_s : handle -> float
-  (** CPU seconds spent synthesizing the most recent replacement
-      supervisor (0 before the first reconfiguration).  Warm
+  (** Time spent synthesizing the most recent replacement supervisor, in
+      wall seconds on the installed {!Spectr_obs.Clock} (0 under the
+      default tick clock, and before the first reconfiguration).  Warm
       {!Synth_cache} hits make this well under a second. *)
 
   val excluded_clusters : handle -> int list
@@ -95,9 +110,10 @@ val make_reconfigurable :
   unit ->
   Manager.t * Reconfig.handle
 (** The self-healing variant (named ["SPECTR+R"]): {!make}'s guarded
-    closed loop plus an {!Fdir} detector and a reconfiguration engine
-    walking the FDIR ladder healthy → guarded → reconfigured →
-    open-loop-fallback.
+    step with the remaining rungs switched on — an {!Fdir} detector fed
+    the raw sensors, every actuation readback and every controller's
+    innovation norm, and a reconfiguration engine walking the ladder
+    healthy → guarded → reconfigured → open-loop-fallback.
 
     On a permanent FDIR verdict the engine derives a degraded
     description ({!Spectr_platform.Platform_desc.degrade}), re-runs

@@ -4,8 +4,9 @@
 
    - allocation budgets: Soc.step_into and Supervisor.step must
      allocate EXACTLY zero bytes per call once warm, and so must a whole
-     warm SPECTR / SPECTR+G run through Scenario.tick — a boxed float or
-     a closure creeping back into the hot path fails here;
+     warm SPECTR / SPECTR+G / SPECTR+R run through Scenario.tick — a
+     boxed float or a closure creeping back into the hot path fails
+     here;
    - byte-identity: the hot-path rewrites (index-native supervisor,
      in-place MIMO step, buffer-reusing scenario loop, memoized gain
      design) must not change any trace — scenario CSV digests are
@@ -108,6 +109,17 @@ let test_supervisor_step_zero_alloc () =
     (Printf.sprintf "Supervisor.step, constant inputs: %.3f B/call" per_iter)
     true (per_iter < 1.0)
 
+(* The three rung sets of the manager ladder, one builder each. *)
+let spectr platform () = fst (Spectr.Spectr_manager.make ~platform ())
+
+let spectr_g platform () =
+  let clusters = Platform_desc.num_clusters platform in
+  let guards = Spectr.Guarded.create ~clusters () in
+  fst (Spectr.Spectr_manager.make ~guards ~platform ())
+
+let spectr_r platform () =
+  fst (Spectr.Spectr_manager.make_reconfigurable ~platform ())
+
 (* End to end: a warm manager driven through [Scenario.tick] for a whole
    run.  Minor-heap words over the ticks only (the runner and manager
    are built first), required to be exactly zero: any boxed float, option
@@ -124,65 +136,203 @@ let minor_words_over_ticks ~manager cfg =
 let zero_alloc_platforms =
   [ Platform_desc.exynos5422; Platform_desc.pixel8pro; Platform_desc.k_cluster 4 ]
 
-let check_zero_alloc_ticks ~guarded platform =
-  let make () =
-    let guards =
-      if guarded then
-        Some
-          (Spectr.Guarded.create ~clusters:(Platform_desc.num_clusters platform) ())
-      else None
-    in
-    fst (Spectr.Spectr_manager.make ?guards ~platform ())
-  in
+let check_zero_alloc_ticks (name, make) platform =
   (* Warm: gain design and supervisor synthesis are memoized. *)
-  ignore (make ());
+  ignore (make platform ());
   let cfg = Spectr.Scenario.default_config ~platform Benchmarks.x264 in
-  let words, ticks = minor_words_over_ticks ~manager:(make ()) cfg in
+  let words, ticks = minor_words_over_ticks ~manager:(make platform ()) cfg in
   check_int "whole run ticked" (Spectr.Scenario.total_ticks cfg) ticks;
   if words <> 0. then
     Alcotest.failf "%s on %s: %.0f minor words over %d ticks (%.2f B/tick)"
-      (if guarded then "SPECTR+G" else "SPECTR")
-      (Platform_desc.name platform) words ticks
+      name (Platform_desc.name platform) words ticks
       (words *. float_of_int (Sys.word_size / 8) /. float_of_int ticks)
 
-let test_scenario_tick_zero_alloc () =
-  List.iter (check_zero_alloc_ticks ~guarded:false) zero_alloc_platforms
-
-let test_guarded_tick_zero_alloc () =
-  List.iter (check_zero_alloc_ticks ~guarded:true) zero_alloc_platforms
+let zero_alloc_ticks variant () =
+  List.iter (check_zero_alloc_ticks variant) zero_alloc_platforms
 
 (* ------------------------------------------------------------------ *)
 (* Scenario CSV byte-identity pins                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* MD5 digests of the default x264 scenario (seed 42, 300 rows) under
-   three managers, recorded before the zero-allocation refactor landed.
-   Any hot-path change that shifts a single float expression — noise
-   draw order, accumulation order, a skipped clamp — changes these. *)
+(* MD5 digests of scenario CSVs, recorded before the refactors they
+   guard landed.  Any hot-path change that shifts a single float
+   expression — noise draw order, accumulation order, a skipped clamp,
+   a rung of the manager ladder running out of turn — changes these.
+   The first three are the default x264 scenario (seed 42, 300 rows)
+   recorded before the zero-allocation refactor.  The rest were
+   recorded before SPECTR, SPECTR+G and SPECTR+R became one step loop:
+   fault-free x264 on three platform shapes for every rung set, the
+   guarded fallback under a dead cluster and a 2 s latched rail, and
+   SPECTR+R through every permanent-fault rung (isolation,
+   re-synthesis, swap window, pinned rail, open-loop fallback). *)
+let x264 platform =
+  Spectr.Scenario.default_config ~seed:42L ~platform Benchmarks.x264
+
+(* Healthy 8 s phase with one fault, then a 4 s background disturbance
+   (the reconfiguration tests' scenario). *)
+let faulted_cfg ?(bg = 0) ?(platform = Platform_desc.exynos5422) injection =
+  let phase name ~duration_s ~background_tasks ~faults =
+    {
+      Spectr.Scenario.phase_name = name;
+      duration_s;
+      envelope = 5.0;
+      background_tasks;
+      phase_faults = faults;
+    }
+  in
+  {
+    (Spectr.Scenario.default_config ~platform Benchmarks.x264) with
+    Spectr.Scenario.phases =
+      [
+        phase "healthy-then-fault" ~duration_s:8. ~background_tasks:bg
+          ~faults:[ injection ];
+        phase "disturb" ~duration_s:4. ~background_tasks:8 ~faults:[];
+      ];
+  }
+
+let permanent ?bg fault = faulted_cfg ?bg (Faults.permanent fault ~start_s:2.0)
+let exynos = Platform_desc.exynos5422
+let pixel = Platform_desc.pixel8pro
+let k4 = Platform_desc.k_cluster 4
+
 let pinned =
   [
-    ("spectr", "ab3b5b5ef6ec4920c18d5f0a4117cbc1");
-    ("mm-pow", "96be8102f7bac038240ca64962ed878b");
-    ("siso", "d599bdd2e64cbd24c48b6fd21efaf08a");
+    ( "spectr",
+      "ab3b5b5ef6ec4920c18d5f0a4117cbc1",
+      spectr exynos,
+      x264 exynos );
+    ( "mm-pow",
+      "96be8102f7bac038240ca64962ed878b",
+      (fun () -> Spectr.Mm.make_pow ()),
+      x264 exynos );
+    ( "siso",
+      "d599bdd2e64cbd24c48b6fd21efaf08a",
+      (fun () -> Spectr.Siso.make ()),
+      x264 exynos );
+    ( "spectr pixel8pro",
+      "817c44759c3f8322c3ead7d40e2b6d79",
+      spectr pixel,
+      x264 pixel );
+    ("spectr k4", "548f0dfc03f8b60c796acc1e2a8361bd", spectr k4, x264 k4);
+    ( "spectr+g exynos5422",
+      "ab3b5b5ef6ec4920c18d5f0a4117cbc1",
+      spectr_g exynos,
+      x264 exynos );
+    ( "spectr+g pixel8pro",
+      "817c44759c3f8322c3ead7d40e2b6d79",
+      spectr_g pixel,
+      x264 pixel );
+    ("spectr+g k4", "548f0dfc03f8b60c796acc1e2a8361bd", spectr_g k4, x264 k4);
+    ( "spectr+r exynos5422",
+      "ab3b5b5ef6ec4920c18d5f0a4117cbc1",
+      spectr_r exynos,
+      x264 exynos );
+    ( "spectr+r pixel8pro",
+      "817c44759c3f8322c3ead7d40e2b6d79",
+      spectr_r pixel,
+      x264 pixel );
+    ("spectr+r k4", "548f0dfc03f8b60c796acc1e2a8361bd", spectr_r k4, x264 k4);
+    ( "spectr cluster-dead:1",
+      "8223c44ca0ad170795a01f9b699750a3",
+      spectr exynos,
+      permanent (Faults.Cluster_dead 1) );
+    ( "spectr+g cluster-dead:1",
+      "5f5ec0de7d684796e4f2a890c35e3b8a",
+      spectr_g exynos,
+      permanent (Faults.Cluster_dead 1) );
+    ( "spectr+g dvfs-stuck 2s",
+      "d32b9a866166d3b6cdf803aa9d5a91ed",
+      spectr_g exynos,
+      faulted_cfg (Faults.injection Faults.Dvfs_stuck ~start_s:2.0 ~stop_s:4.0)
+    );
+    ( "spectr+r cluster-dead:1",
+      "046e96b1567d24604d0e9d1cfe413655",
+      spectr_r exynos,
+      permanent (Faults.Cluster_dead 1) );
+    ( "spectr+r cluster-dead:0",
+      "d1b1f6b2a5a10b9eced25600ec9fa8b1",
+      spectr_r exynos,
+      permanent (Faults.Cluster_dead 0) );
+    ( "spectr+r sensor-dead:power1",
+      "36284101196fe0baba1c9f100c66ecc1",
+      spectr_r exynos,
+      permanent ~bg:8 (Faults.Sensor_dead (Faults.Power_cluster 1)) );
+    ( "spectr+r dvfs-stuck-permanent",
+      "ac5e7a945742f396fdea3d38c1951ea1",
+      spectr_r exynos,
+      permanent Faults.Dvfs_stuck_permanent );
+    ( "spectr+r sensor-dead:qos",
+      "30ace74a6eb88ec6ed1ee145fbaa6dd2",
+      spectr_r exynos,
+      permanent (Faults.Sensor_dead Faults.Qos) );
   ]
 
-let scenario_digest make_manager =
-  let cfg = Spectr.Scenario.default_config ~seed:42L Benchmarks.x264 in
-  let trace = Spectr.Scenario.run ~manager:(make_manager ()) cfg in
-  check_int "pinned run length" 300 (Trace.length trace);
+let trace_digest make cfg =
+  let trace = Spectr.Scenario.run ~manager:(make ()) cfg in
+  check_int "pinned run length" (Spectr.Scenario.total_ticks cfg)
+    (Trace.length trace);
   Digest.to_hex (Digest.string (Trace.to_csv trace))
 
 let test_pinned_digests () =
-  let make = function
-    | "spectr" -> fun () -> fst (Spectr.Spectr_manager.make ())
-    | "mm-pow" -> fun () -> Spectr.Mm.make_pow ()
-    | "siso" -> fun () -> Spectr.Siso.make ()
-    | name -> Alcotest.failf "unknown pinned manager %s" name
-  in
   List.iter
-    (fun (name, digest) ->
-      check_string (name ^ " CSV digest") digest (scenario_digest (make name)))
+    (fun (name, digest, make, cfg) ->
+      check_string (name ^ " CSV digest") digest (trace_digest make cfg))
     pinned
+
+(* The SPECTR / SPECTR+G checkpoint payload after a whole x264 run:
+   supervisor engine, leaf controllers, tick phase and (guarded) the
+   watchdog, in a fixed shape that restore reads back at a fixed type. *)
+let pinned_checkpoints =
+  [
+    ( "spectr",
+      "SPECTR c57e15998ca2c3800383fc2959e72b25",
+      spectr exynos,
+      exynos );
+    ( "spectr+g",
+      "SPECTR+G 85d30419e94ebf34943d996bee6b33ca",
+      spectr_g exynos,
+      exynos );
+    ( "spectr+g pixel8pro",
+      "SPECTR+G@d59644c878d1 bfd02b2ed3898e9f4f9c89631c93b16c",
+      spectr_g pixel,
+      pixel );
+  ]
+
+let test_pinned_checkpoints () =
+  List.iter
+    (fun (name, digest, make, platform) ->
+      let manager = make () in
+      ignore (Spectr.Scenario.run ~manager (x264 platform) : Trace.t);
+      let c = (Option.get manager.Spectr.Manager.persist).snapshot () in
+      check_string (name ^ " checkpoint digest") digest
+        (c.Spectr.Manager.variant ^ " "
+        ^ Digest.to_hex (Digest.string c.Spectr.Manager.payload)))
+    pinned_checkpoints
+
+(* SPECTR+G is SPECTR+R with the reconfiguration rungs switched off:
+   until FDIR latches a permanent finding the two run the same program,
+   so under transient-only faults (each shorter than FDIR's 3 s
+   permanence threshold) their traces are byte-identical. *)
+let test_transient_r_equals_g () =
+  List.iter
+    (fun platform ->
+      List.iter
+        (fun (fault, duration) ->
+          let cfg =
+            faulted_cfg ~platform
+              (Faults.injection fault ~start_s:2.0 ~stop_s:(2.0 +. duration))
+          in
+          check_string
+            (Printf.sprintf "%s on %s" (Faults.kind_to_string fault)
+               (Platform_desc.name platform))
+            (trace_digest (spectr_g platform) cfg)
+            (trace_digest (spectr_r platform) cfg))
+        [
+          (Faults.Dropout Faults.Power, 1.0);
+          (Faults.Dvfs_stuck, 1.25);
+          (Faults.Stuck_at_last Faults.Qos, 1.5);
+        ])
+    [ exynos; pixel ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch arena equivalence                                             *)
@@ -415,7 +565,9 @@ let check_agrees what (nv : Naive.t) c =
   if nv.Naive.g.Lqg.label <> s.Mimo.snap_active then
     Alcotest.failf "%s: active set %s <> %s" what nv.Naive.g.Lqg.label
       s.Mimo.snap_active;
-  check_bits (what ^ " innovation norm") nv.Naive.innov (Mimo.last_innovation_norm c);
+  let innov = [| nan |] in
+  Mimo.innovation_norm_into c innov 0;
+  check_bits (what ^ " innovation norm") nv.Naive.innov innov.(0);
   check_bits_array (what ^ " refs") nv.Naive.refs s.Mimo.snap_refs;
   check_column (what ^ " xhat") nv.Naive.xhat s.Mimo.snap_xhat;
   check_column (what ^ " z") nv.Naive.z s.Mimo.snap_z;
@@ -675,14 +827,20 @@ let () =
           Alcotest.test_case "Supervisor.step zero-alloc" `Quick
             test_supervisor_step_zero_alloc;
           Alcotest.test_case "Scenario.tick SPECTR 0 B/tick" `Quick
-            test_scenario_tick_zero_alloc;
+            (zero_alloc_ticks ("SPECTR", spectr));
           Alcotest.test_case "Scenario.tick SPECTR+G 0 B/tick" `Quick
-            test_guarded_tick_zero_alloc;
+            (zero_alloc_ticks ("SPECTR+G", spectr_g));
+          Alcotest.test_case "Scenario.tick SPECTR+R 0 B/tick" `Quick
+            (zero_alloc_ticks ("SPECTR+R", spectr_r));
         ] );
       ( "byte-identity",
         [
           Alcotest.test_case "pinned scenario digests" `Slow
             test_pinned_digests;
+          Alcotest.test_case "SPECTR+R = SPECTR+G under transient faults"
+            `Slow test_transient_r_equals_g;
+          Alcotest.test_case "pinned checkpoint payloads" `Slow
+            test_pinned_checkpoints;
         ] );
       ( "batch-arena",
         [

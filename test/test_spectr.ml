@@ -1190,17 +1190,21 @@ let test_manager_sanitize () =
   check_int "clamp low" 1 (Manager.sanitize_cores (-2.));
   check_int "round" 3 (Manager.sanitize_cores 2.6)
 
-let test_manager_apply_cluster () =
+let test_manager_apply_command () =
   let soc = Soc.create ~qos:Benchmarks.x264 () in
-  let a = Manager.apply_cluster soc 0 ~freq_ghz:1.26 ~cores:2.4 in
-  check_int "quantized OPP returned" 1300 a.Manager.freq_mhz;
-  check_int "rounded cores returned" 2 a.Manager.cores;
-  check_int "applied to the platform" 1300 (Soc.frequency soc 0);
+  check_bool "healthy cluster obeys" true
+    (Manager.apply_command soc 0 [| 1.26; 2.4 |] ~pos:0);
+  check_int "quantized OPP applied" 1300 (Soc.frequency soc 0);
+  check_int "rounded cores applied" 2 (Soc.active_cores soc 0);
   (* NaN commands must land on the conservative end, not on
      int_of_float garbage. *)
-  let b = Manager.apply_cluster soc 0 ~freq_ghz:nan ~cores:nan in
-  check_int "nan freq -> min OPP" 200 b.Manager.freq_mhz;
-  check_int "nan cores -> 1" 1 b.Manager.cores
+  check_bool "sanitized command obeyed" true
+    (Manager.apply_command soc 0 [| 9.; nan; nan |] ~pos:1);
+  check_int "nan freq -> min OPP" 200 (Soc.frequency soc 0);
+  check_int "nan cores -> 1" 1 (Soc.active_cores soc 0);
+  (* Core commands clamp to the cluster's physical core count. *)
+  ignore (Manager.apply_command soc 0 [| 1.0; 9. |] ~pos:0 : bool);
+  check_int "cores clamp to the cluster" 4 (Soc.active_cores soc 0)
 
 let test_supervisor_nonfinite_guard () =
   let _, commands = make_mock () in
@@ -1585,10 +1589,45 @@ let test_fdir_latched_dvfs_and_transients () =
   | _ -> Alcotest.fail "expected [Dvfs_latched 1]");
   (* Innovation residuals corroborate but never amputate on their own. *)
   for _ = 1 to 120 do
-    Fdir.note_innovation fd ~cluster:0 ~norm:25.
+    Fdir.note_innovation fd ~cluster:0 ~norms:[| 25.; 0. |]
   done;
   check_bool "residual flagged" true (Fdir.residual_flagged fd ~cluster:0);
   check_bool "residual alone emits no finding" true (Fdir.poll fd = [])
+
+(* Verdicts name their channel in the decision log: the per-channel
+   stage array is indexed power, dvfs, model, qos, and each label is
+   built from that index only when a verdict is logged. *)
+let test_fdir_verdict_channels () =
+  Spectr_obs.enable ();
+  Spectr_obs.reset ();
+  Fun.protect ~finally:Spectr_obs.disable (fun () ->
+      let fd = Fdir.create ~k:3 ~host:0 () in
+      feed_fdir fd 6 ~qos:0. ~powers:[| 2.; 1.; 0. |] ~ips:[| 0.; 1e9; 1e9 |];
+      for _ = 1 to 6 do
+        Fdir.note_actuation fd ~cluster:1 ~ok:false;
+        Fdir.note_innovation fd ~cluster:2 ~norms:[| 0.; 0.; 25. |]
+      done;
+      feed_fdir fd 1 ~qos:60. ~powers:[| 2.; 1.; 1. |] ~ips:[| 0.; 1e9; 1e9 |];
+      let verdicts =
+        List.filter_map
+          (fun e ->
+            match e.Spectr_obs.Decision_log.decision with
+            | Spectr_obs.Decision_log.Fdir { channel; verdict } ->
+                Some (channel ^ ":" ^ verdict)
+            | _ -> None)
+          (Spectr_obs.Decision_log.entries ())
+      in
+      Alcotest.(check (list string))
+        "verdicts in order"
+        [
+          "power2:transient";
+          "qos:transient";
+          "dvfs1:transient";
+          "model2:transient";
+          "power2:cleared";
+          "qos:cleared";
+        ]
+        verdicts)
 
 let test_fdir_validation () =
   let raises f =
@@ -1995,8 +2034,8 @@ let () =
           Alcotest.test_case "actuator watchdog" `Quick
             test_guarded_actuator_watchdog;
           Alcotest.test_case "manager sanitization" `Quick test_manager_sanitize;
-          Alcotest.test_case "apply_cluster readback" `Quick
-            test_manager_apply_cluster;
+          Alcotest.test_case "apply_command readback" `Quick
+            test_manager_apply_command;
           Alcotest.test_case "supervisor non-finite guard" `Quick
             test_supervisor_nonfinite_guard;
         ] );
@@ -2044,6 +2083,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_fdir_validation;
           Alcotest.test_case "fallback span metrics" `Quick
             test_guarded_fallback_span_metrics;
+          Alcotest.test_case "verdict channel labels" `Quick
+            test_fdir_verdict_channels;
         ] );
       ( "reconfiguration",
         [
