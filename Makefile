@@ -82,10 +82,10 @@ synth-smoke:
 # Platform smoke: the data-driven platform layer end to end.  Built-in
 # descriptions list and validate (`platforms` digests each one), a
 # short scenario runs on every built-in shape (2-cluster board,
-# 3-cluster pixel8pro, generated k3), the exynos5422 trace CSV is
-# pinned byte-for-byte against the pre-refactor build, and every file
-# in the malformed-CSV corpus is rejected with exit code 2 and a
-# line-numbered parse error.
+# 3-cluster pixel8pro, generated k3), the exynos5422 trace CSV and the
+# big-2x2/little-2x2 identification reports are pinned byte-for-byte
+# against the pre-refactor build, and every file in the malformed-CSV
+# corpus is rejected with exit code 2 and a line-numbered parse error.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
@@ -96,6 +96,12 @@ platform-smoke:
 	dune exec bin/spectr_cli.exe -- scenario -m spectr -b x264 \
 	  --platform k3 > /dev/null
 	echo "ab3b5b5ef6ec4920c18d5f0a4117cbc1  /tmp/spectr-platform-exynos.csv" \
+	  | md5sum -c -
+	dune exec bin/spectr_cli.exe -- identify big-2x2 > /tmp/spectr-identify-big.txt
+	dune exec bin/spectr_cli.exe -- identify little-2x2 > /tmp/spectr-identify-little.txt
+	echo "d7dbe170ea046c3884ef31c83bd8f212  /tmp/spectr-identify-big.txt" \
+	  | md5sum -c -
+	echo "8e45db501e90ec22503ec64c398834d0  /tmp/spectr-identify-little.txt" \
 	  | md5sum -c -
 	for f in test/platforms/bad/*.csv; do \
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \

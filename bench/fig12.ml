@@ -16,17 +16,19 @@ let describe name a =
 let run () =
   Util.heading "Figure 12: supervisor synthesis for the Exynos case study";
   Util.subheading "(a) sub-plant models";
-  describe "QoS management" Spectr.Plant_model.qos_management;
-  describe "power capping" Spectr.Plant_model.power_capping;
+  let platform = Spectr_platform.Platform_desc.exynos5422 in
+  let qos_management, power_capping = Spectr.Plant_model.of_platform platform in
+  describe "QoS management" qos_management;
+  describe "power capping" power_capping;
   Util.subheading "(b) composed plant (automatic, || operator)";
-  let plant = Spectr.Plant_model.composed () in
+  let plant = Spectr.Plant_model.composed_for platform in
   describe "QoSManagement||PowerCapping" plant;
   Util.subheading "(c) intended-behaviour specification";
-  describe "three-band capping" Spectr.Spec.three_band;
+  describe "three-band capping" (Spectr.Spec.of_platform platform);
   Util.subheading "(d) synthesized supervisor";
   (* Routed through the process-wide synthesis cache: when a scenario
      experiment ran earlier in the same invocation this is a hit. *)
-  let sup, stats = Spectr.Supervisor.synthesize () in
+  let sup, stats = Spectr.Supervisor.synthesize ~platform () in
   describe "supervisor" sup;
   Format.printf "  synthesis: %a@." Synthesis.pp_stats stats;
   (* The two §4.3.4 property checks are independent; run them on the

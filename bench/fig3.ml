@@ -9,7 +9,10 @@ open Spectr_platform
 open Spectr_control
 
 let run_controller ~label ~q_y =
-  let ident = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
+  let ident =
+    Spectr.Design_flow.identify
+      (Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422 0)
+  in
   let gains =
     match
       Spectr.Design_flow.design_gains ident [ { Spectr.Design_flow.label; q_y } ]
@@ -27,13 +30,15 @@ let run_controller ~label ~q_y =
   let fps = Array.make steps 0. in
   let power = Array.make steps 0. in
   let big = Soc.host_cluster soc in
+  let obs = Soc.make_observation () in
+  let u = [| 0.; 0. |] in
   for t = 0 to steps - 1 do
-    let obs = Soc.step soc ~dt:0.05 in
+    Soc.step_into soc ~dt:0.05 obs;
     let big_power = (Soc.sensor_powers soc).(big) in
     time.(t) <- obs.Soc.time;
     fps.(t) <- obs.Soc.qos_rate;
     power.(t) <- big_power;
-    let u = Mimo.step ctrl ~measured:[| obs.Soc.qos_rate; big_power |] in
+    Mimo.step_into ctrl ~measured:[| obs.Soc.qos_rate; big_power |] ~dst:u;
     ignore (Spectr.Manager.apply_command soc big u ~pos:0 : bool)
   done;
   (time, fps, power)

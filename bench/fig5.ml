@@ -46,7 +46,11 @@ let run () =
       (fun (title, subsystem, output_index, output_name) ->
         (title, series subsystem ~output_index ~output_name))
       [
-        ("2x2 per-cluster model", Spectr.Design_flow.Big_2x2, 1, "big power");
+        ( "2x2 per-cluster model",
+          Spectr.Design_flow.cluster_subsystem
+            Spectr_platform.Platform_desc.exynos5422 0,
+          1,
+          "big power" );
         ("10x10 per-core model", Spectr.Design_flow.Large_10x10, 8, "big power");
       ]
   in

@@ -18,7 +18,10 @@ let make_tests () =
   let ident_big, ident_fs =
     match
       Spectr_exec.Parmap.map Spectr.Design_flow.identify
-        [ Spectr.Design_flow.Big_2x2; Spectr.Design_flow.Fs_4x2 ]
+        [
+          Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422 0;
+          Spectr.Design_flow.Fs_4x2;
+        ]
     with
     | [ big; fs ] -> (big, fs)
     | _ -> assert false
@@ -60,20 +63,25 @@ let make_tests () =
   let soc = Soc.create ~qos:Benchmarks.x264 () in
   let measured_2 = [| 60.; 3.0 |] in
   let measured_fs = [| 60.; 4.0 |] in
+  let dst_2 = [| 0.; 0. |] in
+  let dst_fs = [| 0.; 0.; 0.; 0. |] in
+  let obs = Soc.make_observation () in
   Test.make_grouped ~name:"overhead"
     [
       Test.make ~name:"mimo-2x2-step"
         (Staged.stage (fun () ->
-             ignore (Spectr_control.Mimo.step mimo_2x2 ~measured:measured_2)));
+             Spectr_control.Mimo.step_into mimo_2x2 ~measured:measured_2
+               ~dst:dst_2));
       Test.make ~name:"mimo-4x2-step"
         (Staged.stage (fun () ->
-             ignore (Spectr_control.Mimo.step mimo_4x2 ~measured:measured_fs)));
+             Spectr_control.Mimo.step_into mimo_4x2 ~measured:measured_fs
+               ~dst:dst_fs));
       Test.make ~name:"supervisor-step"
         (Staged.stage (fun () ->
              Spectr.Supervisor.step sup ~qos:59. ~qos_ref:60. ~power:3.1
                ~envelope:5.0));
       Test.make ~name:"soc-step (simulator)"
-        (Staged.stage (fun () -> ignore (Soc.step soc ~dt:0.05)));
+        (Staged.stage (fun () -> Soc.step_into soc ~dt:0.05 obs));
     ]
 
 let run () =

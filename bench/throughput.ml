@@ -271,9 +271,12 @@ let batch_section one_shot_rate =
         { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
       ]
     in
-    let ident_big = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
-    let ident_little =
-      Spectr.Design_flow.identify Spectr.Design_flow.Little_2x2
+    let ident_big, ident_little =
+      let ident i =
+        Spectr.Design_flow.identify
+          (Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422 i)
+      in
+      (ident 0, ident 1)
     in
     let t0 = Util.now_s () in
     ignore (Spectr.Design_flow.design_gains ident_big goals);

@@ -78,11 +78,12 @@ let platform_arg =
 (* ------------------------------------------------------------------ *)
 
 let synthesize dot_path show_closed_loop =
-  let plant = Spectr.Plant_model.composed () in
-  let sup, stats = Spectr.Supervisor.synthesize () in
+  let platform = Platform_desc.exynos5422 in
+  let plant = Spectr.Plant_model.composed_for platform in
+  let sup, stats = Spectr.Supervisor.synthesize ~platform () in
   Format.printf "plant:      %a@." Spectr_automata.Automaton.pp plant;
   Format.printf "spec:       %a@." Spectr_automata.Automaton.pp
-    Spectr.Spec.three_band;
+    (Spectr.Spec.of_platform platform);
   Format.printf "supervisor: %a@." Spectr_automata.Automaton.pp sup;
   Format.printf "synthesis:  %a@." Spectr_automata.Synthesis.pp_stats stats;
   Format.printf "non-blocking: %b, controllable: %b@."
@@ -117,8 +118,10 @@ let synthesize_cmd =
 (* ------------------------------------------------------------------ *)
 
 let subsystem_of_string = function
-  | "big-2x2" -> Some Spectr.Design_flow.Big_2x2
-  | "little-2x2" -> Some Spectr.Design_flow.Little_2x2
+  | "big-2x2" ->
+      Some (Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422 0)
+  | "little-2x2" ->
+      Some (Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422 1)
   | "fs-4x2" -> Some Spectr.Design_flow.Fs_4x2
   | "large-10x10" -> Some Spectr.Design_flow.Large_10x10
   | _ -> None

@@ -25,18 +25,20 @@ let () =
     \  - keep chip power below the (dynamic) thermal envelope";
 
   step 2 "decompose the plant into sub-plants and model them";
-  Format.printf "  QoS loop:    %a@." Automaton.pp Plant_model.qos_management;
-  Format.printf "  power loop:  %a@." Automaton.pp Plant_model.power_capping;
-  let plant = Plant_model.composed () in
+  let platform = Platform_desc.exynos5422 in
+  let qos_loop, power_loop = Plant_model.of_platform platform in
+  Format.printf "  QoS loop:    %a@." Automaton.pp qos_loop;
+  Format.printf "  power loop:  %a@." Automaton.pp power_loop;
+  let plant = Plant_model.composed_for platform in
   Format.printf "  composed:    %a@." Automaton.pp plant;
 
   step 3 "write the intended-behaviour specification";
-  Format.printf "  three-band:  %a (forbidden: %s)@." Automaton.pp
-    Spec.three_band
-    (String.concat ", " (Automaton.forbidden Spec.three_band));
+  let spec = Spec.of_platform platform in
+  Format.printf "  three-band:  %a (forbidden: %s)@." Automaton.pp spec
+    (String.concat ", " (Automaton.forbidden spec));
 
   step 4 "synthesize the supervisor and verify its properties";
-  let supervisor, stats = Supervisor.synthesize () in
+  let supervisor, stats = Supervisor.synthesize ~platform () in
   Format.printf "  %a@." Automaton.pp supervisor;
   Format.printf "  %a@." Synthesis.pp_stats stats;
   Format.printf "  non-blocking: %b, controllable: %b@."
@@ -44,8 +46,11 @@ let () =
     (Verify.is_controllable ~plant ~supervisor);
 
   step 5 "identify each minimal subsystem (R^2 >= 0.8 gate)";
-  let big = Design_flow.identify Design_flow.Big_2x2 in
-  let little = Design_flow.identify Design_flow.Little_2x2 in
+  let identify i =
+    Design_flow.identify (Design_flow.cluster_subsystem platform i)
+  in
+  let big = identify 0 in
+  let little = identify 1 in
   List.iter
     (fun (name, ident) ->
       Format.printf "  %-8s %a@." name Spectr_sysid.Validation.pp_report
@@ -100,14 +105,16 @@ let () =
       ~refs:[| 2.0; 0.3 |]
   in
   let soc = Soc.create ~qos:Benchmarks.x264 () in
+  let obs = Soc.make_observation () in
+  let u = [| 0.; 0. |] and ul = [| 0.; 0. |] in
   for _ = 1 to 100 do
-    let obs = Soc.step soc ~dt:0.05 in
+    Soc.step_into soc ~dt:0.05 obs;
     let powers = Soc.sensor_powers soc in
-    let u = Spectr_control.Mimo.step big_ctrl
-        ~measured:[| obs.Soc.qos_rate; powers.(0) |] in
+    Spectr_control.Mimo.step_into big_ctrl
+      ~measured:[| obs.Soc.qos_rate; powers.(0) |] ~dst:u;
     ignore (Manager.apply_command soc 0 u ~pos:0 : bool);
-    let ul = Spectr_control.Mimo.step little_ctrl
-        ~measured:[| (Soc.ips_totals soc).(1) /. 1e9; powers.(1) |] in
+    Spectr_control.Mimo.step_into little_ctrl
+      ~measured:[| (Soc.ips_totals soc).(1) /. 1e9; powers.(1) |] ~dst:ul;
     ignore (Manager.apply_command soc 1 ul ~pos:0 : bool)
   done;
   Printf.printf "  after 5 s: QoS %.1f (ref 60.0), chip power %.2f W\n"

@@ -43,6 +43,7 @@ let () =
   (* Run manually so we can watch the supervisor. *)
   let soc_config = { Soc.default_config with seed = config.Scenario.seed } in
   let soc = Soc.create ~config:soc_config ~qos:config.Scenario.workload () in
+  let obs = Soc.make_observation () in
   let last_mode = ref (Supervisor.gains_mode sup) in
   let last_state = ref (Supervisor.state sup) in
   List.iter
@@ -56,7 +57,7 @@ let () =
           (ph.Scenario.duration_s /. config.Scenario.controller_period)
       in
       for _ = 1 to steps do
-        let obs = Soc.step soc ~dt:config.Scenario.controller_period in
+        Soc.step_into soc ~dt:config.Scenario.controller_period obs;
         mgr.Manager.step ~now:obs.Soc.time ~qos_ref:config.Scenario.qos_ref
           ~envelope:ph.Scenario.envelope ~obs soc;
         let mode = Supervisor.gains_mode sup in

@@ -28,8 +28,8 @@ let () =
         (avg (fun c -> c.Spectr_sysid.Validation.r_squared))
         (avg (fun c -> float_of_int c.Spectr_sysid.Validation.violations)))
     [
-      Design_flow.Big_2x2;
-      Design_flow.Little_2x2;
+      Design_flow.cluster_subsystem Spectr_platform.Platform_desc.exynos5422 0;
+      Design_flow.cluster_subsystem Spectr_platform.Platform_desc.exynos5422 1;
       Design_flow.Fs_4x2;
       Design_flow.Large_10x10;
     ];

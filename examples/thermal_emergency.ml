@@ -27,8 +27,9 @@ let run name manager =
   let max_temp = ref 0. in
   let qos_acc = ref 0. and energy = ref 0. in
   let steps = 600 (* 30 s *) in
+  let obs = Soc.make_observation () in
   for i = 1 to steps do
-    let obs = Soc.step soc ~dt:0.05 in
+    Soc.step_into soc ~dt:0.05 obs;
     let envelope =
       Thermal_governor.envelope governor ~temperature_c:obs.Soc.temperature_c
     in

@@ -192,19 +192,15 @@ let default_spec ?(seed = 1) ?(cells = 64) ?(variants = all_variants)
     profile = default_profile;
   }
 
-(* SplitMix-style mix of the campaign seed and cell index: cells are
-   order-independent pure functions of (campaign seed, index), so any
-   cell can be regenerated — and replayed — without generating the
-   others. *)
-let mix_seed campaign index =
-  Int64.add
-    (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
-    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int campaign))
-
+(* Cells are order-independent pure functions of (campaign seed,
+   index), so any cell can be regenerated — and replayed — without
+   generating the others. *)
 let cell_of_spec spec index =
   if index < 0 || index >= spec.cells then
     invalid_arg "Campaign.cell_of_spec: index outside the campaign";
-  let g = Spectr_linalg.Prng.create (mix_seed spec.campaign_seed index) in
+  let g =
+    Spectr_linalg.Prng.(create (mix_seed spec.campaign_seed index))
+  in
   let seed = Spectr_linalg.Prng.int64 g in
   (* Round-robin over the variant list: every variant sees the same
      number of cells (±1), so soak statistics compare like with like. *)

@@ -130,17 +130,12 @@ let default_spec ?(seed = 2024) ?(drills = 32) () =
   if drills <= 0 then invalid_arg "Node_kill.default_spec: drills <= 0";
   { campaign_seed = seed; drills; cap_lo = 1.6; cap_hi = 3.2 }
 
-let mix_seed campaign index =
-  Int64.add
-    (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (index + 1)))
-    (Int64.mul 0xBF58476D1CE4E5B9L (Int64.of_int campaign))
-
 let drill_of_spec spec index =
   if spec.drills <= 0 || spec.cap_lo <= 0. || spec.cap_hi < spec.cap_lo then
     invalid_arg "Node_kill.drill_of_spec: malformed spec";
   if index < 0 || index >= spec.drills then
     invalid_arg "Node_kill.drill_of_spec: index out of range";
-  let g = Prng.create (mix_seed spec.campaign_seed index) in
+  let g = Prng.create (Prng.mix_seed spec.campaign_seed index) in
   let workloads = Array.of_list Benchmarks.all_qos in
   let w = workloads.(Prng.int g (Array.length workloads)) in
   {

@@ -45,12 +45,14 @@ let all_kinds =
     [ Power_cap; Qos_reconvergence; Supervisor_legal; Actuation_bounds;
       Non_finite ]
 
-let run ?(arena = true) ?limits ?(max_findings = 10) ?(log_tail = 40) spec =
+let run ?limits ?(max_findings = 10) ?(log_tail = 40) spec =
   let cells = Campaign.generate spec in
   (* One warm arena for the whole sweep: each pool domain builds its
      managers once and resets them between its cells. *)
-  let arena = if arena then Some (Arena.create ()) else None in
-  let outcomes = Spectr_exec.Parmap.map (Engine.run_cell ?arena ?limits) cells in
+  let arena = Arena.create () in
+  let outcomes =
+    Spectr_exec.Parmap.map (Engine.run_cell ~arena ?limits) cells
+  in
   let variant_stats =
     List.map
       (fun v ->

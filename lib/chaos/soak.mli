@@ -33,7 +33,6 @@ type report = {
 }
 
 val run :
-  ?arena:bool ->
   ?limits:Invariants.limits ->
   ?max_findings:int ->
   ?log_tail:int ->
@@ -45,10 +44,9 @@ val run :
     instrumentation on to harvest [log_tail] (default 40) decision-log
     lines each.
 
-    [arena] (default [true]) runs the sweep through a warm
-    {!Arena}: one manager per (domain, variant), reset between cells —
-    outcomes are identical either way, the arena only removes per-cell
-    construction cost. *)
+    The sweep runs through a warm {!Arena}: one manager per (domain,
+    variant), reset between cells — outcomes are identical to fresh
+    managers, the arena only removes per-cell construction cost. *)
 
 val violating_cells : report -> variant:Campaign.variant -> int
 

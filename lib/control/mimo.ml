@@ -207,7 +207,8 @@ let[@inline] row_dot a ~cols i x =
    control law never used, is not evaluated. *)
 let step_into ctrl ~measured ~dst =
   let n = ctrl.n and m = ctrl.m and p = ctrl.p in
-  if Array.length measured <> p then invalid_arg "Mimo.step: measured length";
+  if Array.length measured <> p then
+    invalid_arg "Mimo.step_into: measured length";
   if Array.length dst <> m then invalid_arg "Mimo.step_into: dst length";
   let k = ctrl.active in
   let xhat = ctrl.xhat and z = ctrl.z and u_prev = ctrl.u_prev in
@@ -267,11 +268,6 @@ let step_into ctrl ~measured ~dst =
   done;
   Array.blit dst 0 ctrl.last 0 m;
   ctrl.last_valid <- true
-
-let step ctrl ~measured =
-  let dst = Array.make ctrl.m 0. in
-  step_into ctrl ~measured ~dst;
-  dst
 
 (* Bumpless transfer: the integrator contribution to the command must be
    continuous across the switch, so solve Kz_new · z_new = Kz_old · z_old

@@ -53,17 +53,13 @@ val create :
     unknown, any gain set disagrees on (m, p, n), array lengths are
     inconsistent, or [z_clamp <= 0]. *)
 
-val step : t -> measured:float array -> float array
-(** One control period: consume the physical measurements (length p) and
-    produce the physical actuator commands (length m), saturated to the
-    channel limits.  Mirrors the 50 ms daemon invocation of §5. *)
-
 val step_into : t -> measured:float array -> dst:float array -> unit
-(** {!step} into a caller-owned command buffer (length m) — bit-identical
-    commands and controller-state evolution, but every intermediate of
-    the control law lands in scratch preallocated at {!create}, so a
-    steady-state invocation allocates nothing.  [dst] must not alias
-    [measured]. *)
+(** One control period: consume the physical measurements (length p) and
+    write the physical actuator commands, saturated to the channel
+    limits, into a caller-owned buffer (length m).  Mirrors the 50 ms
+    daemon invocation of §5.  Every intermediate of the control law
+    lands in scratch preallocated at {!create}, so a steady-state
+    invocation allocates nothing.  [dst] must not alias [measured]. *)
 
 val switch_gains : t -> string -> unit
 (** Gain scheduling: point the controller at a different stored gain set.

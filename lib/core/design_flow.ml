@@ -4,18 +4,13 @@ open Spectr_platform
 module Platform_desc = Spectr_platform.Platform_desc
 
 type subsystem =
-  | Big_2x2
-  | Little_2x2
   | Fs_4x2
   | Large_10x10
   | Cluster_2x2 of Platform_desc.t * int
-      (* one cluster of an arbitrary platform description: (freq, cores)
-         -> (qos|gips, power), the description-driven generalization of
-         Big_2x2/Little_2x2 *)
+      (* one cluster of a platform description: (freq, cores) ->
+         (qos|gips, power) *)
 
 let subsystem_name = function
-  | Big_2x2 -> "big-2x2"
-  | Little_2x2 -> "little-2x2"
   | Fs_4x2 -> "fs-4x2"
   | Large_10x10 -> "large-10x10"
   | Cluster_2x2 (p, i) ->
@@ -26,22 +21,14 @@ let subsystem_name = function
         (String.sub (Platform_desc.digest p) 0 8)
 
 let platform_of = function
-  | Big_2x2 | Little_2x2 | Fs_4x2 | Large_10x10 -> Platform_desc.exynos5422
+  | Fs_4x2 | Large_10x10 -> Platform_desc.exynos5422
   | Cluster_2x2 (p, _) -> p
 
 (* Eager: pool workers call [is_reference_platform] concurrently, and a
    [lazy] forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
 let exynos_digest = Platform_desc.digest Platform_desc.exynos5422
 let is_reference_platform p = Platform_desc.digest p = exynos_digest
-
-(* The per-cluster subsystem of a description, routed through the
-   hard-wired Exynos variants when the description *is* the Exynos —
-   keeping their memo keys (and thus identification experiments, gain
-   caches and traces) identical to the pre-description code. *)
-let cluster_subsystem p i =
-  if is_reference_platform p then
-    if i = Platform_desc.host p then Big_2x2 else Little_2x2
-  else Cluster_2x2 (p, i)
+let cluster_subsystem p i = Cluster_2x2 (p, i)
 
 type identified = {
   subsystem : subsystem;
@@ -62,29 +49,18 @@ type phys = {
   sat_max : float;
 }
 
+(* The one identification exception: the reference Exynos keeps the
+   paper's hand-picked frequency windows in GHz (big, little — its
+   cluster order), which its pinned traces were identified with. *)
+let exynos_windows = [| (0.8, 1.8); (0.4, 1.2) |]
+
 (* Excitation ranges are deliberately narrower than the actuator limits:
    black-box identification of a nonlinear plant (P ∝ V²f, Amdahl core
    scaling) needs a quasi-linear neighbourhood around the operating
    point; the controllers may still saturate out to the full physical
    range at runtime. *)
-let input_spec = function
-  | Big_2x2 ->
-      [|
-        { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-        { ch_name = "big-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
-  | Little_2x2 ->
-      [|
-        { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        { ch_name = "little-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
-  | Fs_4x2 ->
-      [|
-        { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-        { ch_name = "big-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-        { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        { ch_name = "little-cores"; lo = 2.; hi = 4.; sat_min = 1.; sat_max = 4. };
-      |]
+let rec input_spec = function
+  | Fs_4x2 -> Array.append (exynos_cluster 0) (exynos_cluster 1)
   | Large_10x10 ->
       (* A 10-knob controller has no quasi-linear neighbourhood to hide
          in: its actuators span their full range (the §2.2 argument). *)
@@ -97,15 +73,11 @@ let input_spec = function
                sat_min = 0.;
                sat_max = 0.9;
              }))
-        [|
-          { ch_name = "big-freq-ghz"; lo = 0.8; hi = 1.8; sat_min = 0.2; sat_max = 2.0 };
-          { ch_name = "little-freq-ghz"; lo = 0.4; hi = 1.2; sat_min = 0.2; sat_max = 1.4 };
-        |]
+        [| (exynos_cluster 0).(0); (exynos_cluster 1).(0) |]
   | Cluster_2x2 (p, i) ->
-      (* Description-driven: excite the middle of the cluster's DVFS
-         range (quasi-linear neighbourhood), saturate out to the full
-         table; cores from 2 (or 1 on a unicore cluster) to the physical
-         count. *)
+      (* Excite the middle of the cluster's DVFS range, saturate out to
+         the full table; cores from 2 (or 1 on a unicore cluster) to the
+         physical count. *)
       let cl = Platform_desc.cluster p i in
       let name = cl.Platform_desc.cl_name in
       let opp = cl.Platform_desc.opp in
@@ -113,11 +85,17 @@ let input_spec = function
       let hi_mhz = float_of_int (Opp.max_freq opp) in
       let span = hi_mhz -. lo_mhz in
       let cores = float_of_int cl.Platform_desc.cores in
+      let lo, hi =
+        if is_reference_platform p then exynos_windows.(i)
+        else
+          ( (lo_mhz +. (0.3 *. span)) /. 1000.,
+            (lo_mhz +. (0.85 *. span)) /. 1000. )
+      in
       [|
         {
           ch_name = name ^ "-freq-ghz";
-          lo = (lo_mhz +. (0.3 *. span)) /. 1000.;
-          hi = (lo_mhz +. (0.85 *. span)) /. 1000.;
+          lo;
+          hi;
           sat_min = lo_mhz /. 1000.;
           sat_max = hi_mhz /. 1000.;
         };
@@ -130,9 +108,9 @@ let input_spec = function
         };
       |]
 
+and exynos_cluster i = input_spec (Cluster_2x2 (Platform_desc.exynos5422, i))
+
 let output_names = function
-  | Big_2x2 -> [| "qos"; "big-power" |]
-  | Little_2x2 -> [| "little-gips"; "little-power" |]
   | Fs_4x2 -> [| "qos"; "chip-power" |]
   | Large_10x10 ->
       Array.append
@@ -144,48 +122,34 @@ let output_names = function
       else [| name ^ "-gips"; name ^ "-power" |]
 
 let background_load = function
-  | Big_2x2 -> 0
-  | Little_2x2 -> 8
   | Fs_4x2 -> 4
   | Large_10x10 -> 4
   | Cluster_2x2 (p, i) ->
-      (* Host identification wants the QoS app alone (like Big_2x2);
-         secondary clusters are identified under the background load
-         they exist to absorb (like Little_2x2). *)
+      (* Host identification wants the QoS app alone; secondary clusters
+         are identified under the background load they exist to absorb. *)
       if i = Platform_desc.host p then 0 else 8
 
-(* Exynos cluster indices of the hard-wired subsystems (description
+(* Exynos cluster indices of the whole-chip subsystems (description
    order of [Platform_desc.exynos5422]). *)
 let exy_big = 0
 let exy_little = 1
 
+(* Apply one cluster's (freq GHz, cores) excitation pair and return the
+   actually-applied values (after OPP quantization and rounding). *)
+let apply_cluster soc i ghz cores =
+  let f = Soc.set_frequency soc i (ghz *. 1000.) in
+  Soc.set_active_cores soc i (int_of_float (Float.round cores));
+  [| float_of_int f /. 1000.; float_of_int (Soc.active_cores soc i) |]
+
 (* Apply one excitation row to the SoC and return the actually-applied
-   physical input vector (after OPP quantization and rounding). *)
+   physical input vector. *)
 let apply_inputs subsystem soc row =
   match subsystem with
-  | Big_2x2 | Little_2x2 | Cluster_2x2 _ ->
-      let i =
-        match subsystem with
-        | Big_2x2 -> exy_big
-        | Little_2x2 -> exy_little
-        | Cluster_2x2 (_, i) -> i
-        | _ -> assert false
-      in
-      let f = Soc.set_frequency soc i (row.(0) *. 1000.) in
-      let cores = int_of_float (Float.round row.(1)) in
-      Soc.set_active_cores soc i cores;
-      [| float_of_int f /. 1000.; float_of_int (Soc.active_cores soc i) |]
+  | Cluster_2x2 (_, i) -> apply_cluster soc i row.(0) row.(1)
   | Fs_4x2 ->
-      let bf = Soc.set_frequency soc exy_big (row.(0) *. 1000.) in
-      Soc.set_active_cores soc exy_big (int_of_float (Float.round row.(1)));
-      let lf = Soc.set_frequency soc exy_little (row.(2) *. 1000.) in
-      Soc.set_active_cores soc exy_little (int_of_float (Float.round row.(3)));
-      [|
-        float_of_int bf /. 1000.;
-        float_of_int (Soc.active_cores soc exy_big);
-        float_of_int lf /. 1000.;
-        float_of_int (Soc.active_cores soc exy_little);
-      |]
+      let big = apply_cluster soc exy_big row.(0) row.(1) in
+      let little = apply_cluster soc exy_little row.(2) row.(3) in
+      Array.append big little
   | Large_10x10 ->
       for i = 0 to 7 do
         Soc.set_idle_fraction soc ~core:i row.(i)
@@ -199,9 +163,6 @@ let apply_inputs subsystem soc row =
 let read_outputs subsystem soc (obs : Soc.observation) =
   let powers = Soc.sensor_powers soc in
   match subsystem with
-  | Big_2x2 -> [| obs.Soc.qos_rate; powers.(exy_big) |]
-  | Little_2x2 ->
-      [| (Soc.ips_totals soc).(exy_little) /. 1e9; powers.(exy_little) |]
   | Fs_4x2 -> [| obs.Soc.qos_rate; obs.Soc.chip_power |]
   | Large_10x10 ->
       (* The per-core PMU readings left the observation record (no
@@ -237,11 +198,12 @@ let identify_uncached ~seed ~length ~order subsystem =
   in
   let u = Array.make length [||] in
   let y = Array.make length [||] in
+  let obs = Soc.make_observation () in
   (* Same loop order as the runtime daemon (measure, then actuate), so
      y(t) responds to u(t−1) — the one-period actuation delay the ARX
      lag structure assumes. *)
   for t = 0 to length - 1 do
-    let obs = Soc.step soc ~dt:0.05 in
+    Soc.step_into soc ~dt:0.05 obs;
     y.(t) <- read_outputs subsystem soc obs;
     u.(t) <- apply_inputs subsystem soc excitation.(t)
   done;

@@ -16,38 +16,36 @@ open Spectr_sysid
 module Platform_desc = Spectr_platform.Platform_desc
 
 type subsystem =
-  | Big_2x2  (** Inputs (big freq GHz, big cores) ↦ (QoS rate, big power). *)
-  | Little_2x2
-      (** Inputs (little freq, little cores) ↦ (little GIPS, little
-          power); background load keeps the cluster busy during the
-          experiment. *)
   | Fs_4x2
-      (** All four cluster knobs ↦ (QoS rate, chip power) — the paper's
-          full-system comparison controller. *)
+      (** All four Exynos cluster knobs ↦ (QoS rate, chip power) — the
+          paper's full-system comparison controller. *)
   | Large_10x10
-      (** 8 per-core idle-insertion knobs + 2 cluster frequencies ↦
-          8 per-core GIPS + 2 cluster powers (Figure 4, right). *)
+      (** 8 Exynos per-core idle-insertion knobs + 2 cluster frequencies
+          ↦ 8 per-core GIPS + 2 cluster powers (Figure 4, right). *)
   | Cluster_2x2 of Platform_desc.t * int
-      (** One cluster of an arbitrary platform description: (freq GHz,
-          cores) ↦ (QoS rate | cluster GIPS, cluster power) — the
-          description-driven generalization of [Big_2x2]/[Little_2x2].
-          The host cluster is identified alone (QoS output), secondaries
-          under background load (GIPS output); the excitation spans the
-          middle of the cluster's own DVFS table.  The memo key includes
-          the description (two platforms sharing a cluster name are
-          distinct subsystems — {!subsystem_name} carries the platform
-          digest). *)
+      (** One cluster of a platform description: (freq GHz, cores) ↦
+          (QoS rate | cluster GIPS, cluster power).  The host cluster is
+          identified alone (QoS output), secondaries under background
+          load (GIPS output); the excitation spans the middle of the
+          cluster's own DVFS table, except on the reference Exynos, which
+          keeps the paper's hand-picked windows (big 0.8–1.8 GHz, little
+          0.4–1.2 GHz).  The memo key includes the description (two
+          platforms sharing a cluster name are distinct subsystems —
+          {!subsystem_name} carries the platform digest). *)
 
 val subsystem_name : subsystem -> string
 
 val is_reference_platform : Platform_desc.t -> bool
 (** Digest equality with [Platform_desc.exynos5422] — true for the
-    built-in and for any CSV round-trip of it. *)
+    built-in and for any CSV round-trip of it.  Gates exactly four
+    documented exceptions (DESIGN.md §15): the {!Cluster_2x2} excitation
+    windows, the 60 FPS x264 reference ({!Scenario.default_qos_ref}),
+    the checkpoint variant tag of {!Spectr_manager}, and the CLI's
+    refusal to run [fs]/[siso] elsewhere. *)
 
 val cluster_subsystem : Platform_desc.t -> int -> subsystem
-(** The 2×2 subsystem of one cluster of a description: [Big_2x2] /
-    [Little_2x2] when the description is the reference Exynos (keeping
-    their memo keys), [Cluster_2x2] otherwise. *)
+(** [Cluster_2x2 (p, i)]: the 2×2 subsystem of one cluster of a
+    description (Step 2's minimal subsystem). *)
 
 type identified = {
   subsystem : subsystem;

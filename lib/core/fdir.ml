@@ -19,8 +19,10 @@
      verdicts/counters, but never drive reconfiguration on their own —
      a noisy residual must not amputate a healthy cluster.
 
-   Persistence counters (generalizing {!Guarded}'s streak logic) turn
-   raw evidence into a two-stage classification: a streak crossing
+   Persistence counters turn raw evidence into a two-stage
+   classification.  (They share only the [if hit then n + 1 else 0]
+   step with {!Guarded}'s streaks; thresholds, hysteresis and stage
+   machines differ, so they are not one module.)  A streak crossing
    [transient_ticks] yields a "transient" verdict (logged, counted, no
    action — the guarded layer's clamps already cover it); a streak
    crossing [permanent_ticks] latches a "permanent" verdict and emits a

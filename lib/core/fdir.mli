@@ -5,7 +5,8 @@
     streaks on power/QoS/IPS channels, actuation readback mismatches,
     and Kalman innovation residuals ({!Mimo.innovation_norm_into}) as a
     corroborating model-consistency monitor.  Persistence counters
-    generalize {!Guarded}'s streak logic into a two-stage verdict:
+    (which share only the increment-or-reset step with {!Guarded}'s
+    streaks) turn evidence into a two-stage verdict:
 
     - a streak of [transient_ticks] consecutive bad ticks yields a
       {e transient} verdict — logged and counted, no action (the guarded

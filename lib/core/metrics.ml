@@ -51,35 +51,23 @@ let compliance_time_series ~envelope ~dt power =
   check_envelope_series "compliance_time_series" ~envelope ~power;
   compliance_scan ~limit:(fun i -> envelope.(i) *. power_allowance) ~dt power
 
-(* First sample index >= [after] from which [pred i] holds for every
+(* First sample index >= [after] from which [pred] holds for every
    remaining sample, or None.  Shared scan behind the fault-recovery
    metrics: find the last offending sample and step past it. *)
-let sustained_from_i ~after pred n =
+let sustained_from ~after pred arr =
+  let n = Array.length arr in
   if after >= n then None
   else begin
     let last_bad = ref (after - 1) in
     for i = after to n - 1 do
-      if not (pred i) then last_bad := i
+      if not (pred arr.(i)) then last_bad := i
     done;
     if !last_bad = n - 1 then None else Some (max after (!last_bad + 1))
   end
 
-let sustained_from ~after pred arr =
-  sustained_from_i ~after (fun i -> pred arr.(i)) (Array.length arr)
-
 let recovery_time ~envelope ~dt ~after power =
   let limit = envelope *. power_allowance in
   match sustained_from ~after (fun p -> p <= limit) power with
-  | None -> None
-  | Some i -> Some (float_of_int (i - after) *. dt)
-
-let recovery_time_series ~envelope ~dt ~after power =
-  check_envelope_series "recovery_time_series" ~envelope ~power;
-  match
-    sustained_from_i ~after
-      (fun i -> power.(i) <= envelope.(i) *. power_allowance)
-      (Array.length power)
-  with
   | None -> None
   | Some i -> Some (float_of_int (i - after) *. dt)
 

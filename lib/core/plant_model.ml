@@ -60,35 +60,16 @@ let generate_capping (_ : Platform_desc.t) =
 
 (* Memoized per digest, like [Spec.of_platform]: the automata feed the
    synthesis cache, and handing back identical automata keeps their
-   digest computation amortized across manager constructions.  A value
-   is built outside the lock; when two domains race on one description
-   the first one installed wins, so every caller sees the same value. *)
-let mutex = Mutex.create ()
+   digest computation amortized across manager constructions. *)
+let memo build =
+  let cache = Spectr_exec.Single_flight.create () in
+  fun desc ->
+    Spectr_exec.Single_flight.find_or_compute cache
+      ~key:(Platform_desc.digest desc) ~compute:(fun () -> build desc)
 
-let memo cache build desc =
-  let digest = Platform_desc.digest desc in
-  match Mutex.protect mutex (fun () -> Hashtbl.find_opt cache digest) with
-  | Some v -> v
-  | None ->
-      let v = build desc in
-      Mutex.protect mutex (fun () ->
-          match Hashtbl.find_opt cache digest with
-          | Some v -> v
-          | None ->
-              Hashtbl.replace cache digest v;
-              v)
-
-let pairs : (string, Automaton.t * Automaton.t) Hashtbl.t = Hashtbl.create 8
-let products : (string, Automaton.t) Hashtbl.t = Hashtbl.create 8
-
-let of_platform =
-  memo pairs (fun desc -> (generate_qos desc, generate_capping desc))
-
-let qos_management, power_capping = of_platform Platform_desc.exynos5422
+let of_platform = memo (fun desc -> (generate_qos desc, generate_capping desc))
 
 let composed_for =
-  memo products (fun desc ->
+  memo (fun desc ->
       let qos, capping = of_platform desc in
       Compose.pair qos capping)
-
-let composed () = Compose.pair qos_management power_capping

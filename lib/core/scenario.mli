@@ -43,26 +43,27 @@ val default_phases : ?tdp:float -> ?emergency:float -> unit -> phase list
     at [emergency] (default 3.5 W), 5 s Disturbance at [tdp] with 10
     background tasks.  No faults. *)
 
-val columns : string list
-(** Base trace columns of the reference Exynos description (no [faults]
-    column) — [columns_of Platform_desc.exynos5422]. *)
+val columns_of : Platform_desc.t -> string list
+(** Trace columns of a description: [time], [qos], [qos_ref], [power],
+    [envelope], one [<cluster>_power] per cluster, then a
+    [<cluster>_freq_mhz]/[<cluster>_cores] pair per cluster,
+    [background], [phase].  On [exynos5422] this is the historical
+    header byte for byte. *)
 
-val fault_columns : string list
-(** Exynos trace columns of a faulted run: {!columns} plus ["faults"]
+val fault_columns_of : Platform_desc.t -> string list
+(** Trace columns of a faulted run: {!columns_of} plus ["faults"]
     (number of active injections) and ["true_power"] (ground-truth chip
     power — under sensor faults the [power] column records the corrupted
     reading the managers saw, so safety must be judged against this
     one). *)
 
-val columns_of : Platform_desc.t -> string list
-(** Trace columns of a description: [time], [qos], [qos_ref], [power],
-    [envelope], one [<cluster>_power] per cluster, then a
-    [<cluster>_freq_mhz]/[<cluster>_cores] pair per cluster,
-    [background], [phase].  On [exynos5422] this is exactly
-    {!columns}. *)
-
-val fault_columns_of : Platform_desc.t -> string list
-(** [columns_of] plus the trailing [faults]/[true_power] pair. *)
+val default_qos_ref : Platform_desc.t -> Workload.t -> float
+(** The default QoS reference of a workload on a description: 60 FPS for
+    x264 on the reference Exynos (one of the documented
+    reference-platform exceptions); everywhere else 75 % of the
+    workload's maximum achievable rate on the description's host
+    cluster (an achievable-within-TDP target, as in Phase 1 of the
+    paper). *)
 
 val default_config :
   ?seed:int64 ->
@@ -70,10 +71,7 @@ val default_config :
   ?platform:Platform_desc.t ->
   Workload.t ->
   config
-(** 60 FPS reference for x264 on the reference Exynos; everywhere else
-    the reference is 75 % of the workload's maximum achievable rate on
-    the description's host cluster (an achievable-within-TDP target, as
-    in Phase 1 of the paper).  [platform] defaults to
+(** [qos_ref] defaults to {!default_qos_ref}; [platform] defaults to
     [Platform_desc.exynos5422]. *)
 
 val run : manager:Manager.t -> config -> Trace.t

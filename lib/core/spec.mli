@@ -13,19 +13,15 @@
       QoS gains ([switchQoS]) only after power re-enters the safe region
       ([safePower]).
 
-    Synthesis against {!Plant_model.composed} prunes the forbidden state
+    Synthesis against {!Plant_model.composed_for} prunes the forbidden state
     and every state that uncontrollably reaches it. *)
 
 open Spectr_automata
 
-val three_band : Automaton.t
-(** States: Uncapped (initial, marked), C1, C2, Threshold (forbidden),
-    Capped, CapHot, CapSafe.  Equals
-    [of_platform Platform_desc.exynos5422]. *)
-
 val of_platform : Spectr_platform.Platform_desc.t -> Automaton.t
 (** The three-band specification generated for a platform description:
     one budget increase/decrease pair per cluster (in description
-    order), same band structure.  Memoized per platform digest; on
-    [exynos5422] the generated automaton is structurally identical to
-    the hand-written figure. *)
+    order), same band structure.  States: Uncapped (initial, marked),
+    C1, C2, Threshold (forbidden), Capped, CapHot, CapSafe.  Memoized
+    per platform digest; on [exynos5422] the generated automaton is
+    structurally identical to the hand-written figure. *)

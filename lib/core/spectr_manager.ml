@@ -105,10 +105,6 @@ let ladder ~who ~seed ~supervisor_divisor ~gain_scheduling ~swap_ticks
     | None, Some _ -> Some (Guarded.create ~clusters:k0 ())
     | g, _ -> g
   in
-  (* The Exynos description keeps the original Big_2x2/Little_2x2
-     subsystems (same memo keys, same identification experiments); any
-     other description identifies each cluster through the generic
-     Cluster_2x2 path. *)
   let subsystem_for i = Design_flow.cluster_subsystem platform i in
   let idents =
     Array.init k0 (fun i -> Design_flow.identify ~seed (subsystem_for i))

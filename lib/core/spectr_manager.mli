@@ -37,10 +37,10 @@ val make :
 
     [platform] (default [Platform_desc.exynos5422]) selects the platform
     description: one leaf controller per cluster, identified through
-    {!Design_flow.Cluster_2x2} and supervised by the description-derived
-    synthesis.  On the Exynos description the original
-    [Big_2x2]/[Little_2x2] subsystems (and their memo keys) are used, so
-    behaviour is bit-identical to previous releases.
+    {!Design_flow.cluster_subsystem} and supervised by the
+    description-derived synthesis.  The Exynos description is no special
+    case here: its bit-identity with previous releases rests on the
+    excitation windows {!Design_flow.Cluster_2x2} keeps for it.
 
     [guards] arms the graceful-degradation layer (named ["SPECTR+G"]):
     observations pass through {!Guarded.filter}, actuation readbacks

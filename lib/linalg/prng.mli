@@ -11,6 +11,12 @@ val create : int64 -> t
 (** Generator seeded with the given value; equal seeds give equal
     streams. *)
 
+val mix_seed : int -> int -> int64
+(** [mix_seed base index]: a SplitMix-style seed for the [index]-th
+    member of a family seeded by [base] (campaign cells, fleet nodes,
+    drill epochs), so each member is a pure function of (base, index)
+    and can be regenerated without generating the others. *)
+
 val copy : t -> t
 (** Independent clone continuing from the same state. *)
 

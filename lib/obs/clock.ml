@@ -2,7 +2,7 @@
 
    Two backings:
    - [Ticks] (the default): a process-global counter advanced explicitly
-     by the simulation ([Soc.step] ticks once per controller period when
+     by the simulation ([Soc.step_into] ticks once per controller period when
      instrumentation is on).  Deterministic — two runs of the same
      scenario stamp identical timestamps — which is what the obs
      determinism tests pin.

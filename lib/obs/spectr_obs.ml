@@ -2,7 +2,7 @@
 
    Off by default: every recording entry point checks one atomic flag
    and is an allocation-free no-op while disabled, so the instrumented
-   hot paths (Supervisor.step, Soc.step, Pool, Synth_cache, …) leave
+   hot paths (Supervisor.step, Soc.step_into, Pool, Synth_cache, …) leave
    pinned traces and bench stdout byte-identical.  Enabling costs a few
    atomic ops per sample and a mutexed ring append per decision. *)
 

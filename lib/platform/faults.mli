@@ -116,7 +116,7 @@ val has_permanent : t -> bool
 
 (** {1 Sensor transforms}
 
-    Called by {!Soc.step} on the would-be sensor readings.  Each
+    Called by {!Soc.step_into} on the would-be sensor readings.  Each
     function returns the reading as corrupted by whatever sensor faults
     are active, and records the last healthy reading so that
     [Stuck_at_last] has something to repeat. *)

@@ -431,7 +431,7 @@ let z_bound = 8.572
    optimizing native backend a cross-module float return boxes ~16 B per
    call. *)
 let step_into soc ~dt obs =
-  if dt <= 0. then invalid_arg "Soc.step: dt <= 0";
+  if dt <= 0. then invalid_arg "Soc.step_into: dt <= 0";
   let c = soc.config in
   let hot = soc.hot in
   hot.now <- hot.now +. dt;
@@ -719,11 +719,6 @@ let step_into soc ~dt obs =
   obs.chip_power <- !chip;
   obs.qos_rate <- sens.(k);
   obs.temperature_c <- sens.(k + 1)
-
-let step soc ~dt =
-  let obs = make_observation () in
-  step_into soc ~dt obs;
-  obs
 
 (* --- deferred per-core readings --------------------------------------- *)
 

@@ -151,9 +151,6 @@ val step_into : t -> dt:float -> observation -> unit
     (no faults attached, observability disabled).  Raises on
     [dt <= 0]. *)
 
-val step : t -> dt:float -> observation
-(** {!step_into} into a freshly allocated observation. *)
-
 val time : t -> float
 
 val sensor_powers : t -> float array

@@ -245,6 +245,7 @@ let simulate_closed_loop ~ctrl ~steps ~disturbance =
   let y_hist = Array.make steps [| 0.; 0. |] in
   let in_ch i = [| 1.0; 2.0 |].(i) in
   ignore in_ch;
+  let u_phys = [| 0.; 0. |] in
   for t = 0 to steps - 1 do
     (* physical output = normalized output * scale + offset *)
     let y_norm = Matrix.mul (Matrix.of_list [ [ 1.; 0. ]; [ 0.; 1. ] ]) !x in
@@ -255,7 +256,7 @@ let simulate_closed_loop ~ctrl ~steps ~disturbance =
       |]
     in
     y_hist.(t) <- y_phys;
-    let u_phys = Mimo.step ctrl ~measured:y_phys in
+    Mimo.step_into ctrl ~measured:y_phys ~dst:u_phys;
     let u_norm =
       Matrix.col_vector
         [| (u_phys.(0) -. 1.0) /. 0.5; (u_phys.(1) -. 2.0) /. 1.0 |]
@@ -389,10 +390,11 @@ let prop_lqg_tracks_scalar_plants =
           in
           let x = ref (Matrix.zeros ~rows:1 ~cols:1) in
           let last = ref 0. in
+          let u = [| 0. |] in
           for _ = 1 to 400 do
             let y = Matrix.to_scalar !x in
             last := y;
-            let u = Mimo.step ctrl ~measured:[| y |] in
+            Mimo.step_into ctrl ~measured:[| y |] ~dst:u;
             let x', _ =
               Statespace.step model ~x:!x ~u:(Matrix.col_vector [| u.(0) |])
             in
@@ -409,9 +411,10 @@ let prop_mimo_never_nan =
         (pair (float_range (-1e6) 1e6) (float_range (-1e6) 1e6)))
     (fun readings ->
       let ctrl = make_ctrl () in
+      let u = [| 0.; 0. |] in
       List.for_all
         (fun (a, b) ->
-          let u = Mimo.step ctrl ~measured:[| a; b |] in
+          Mimo.step_into ctrl ~measured:[| a; b |] ~dst:u;
           Float.is_finite u.(0) && Float.is_finite u.(1)
           && u.(0) >= 0.2 && u.(0) <= 2.0
           && u.(1) >= 0.0 && u.(1) <= 4.0)
@@ -428,7 +431,8 @@ let test_mimo_switch_gains_bumpless () =
     match Mimo.last_command ctrl with Some u -> u | None -> assert false
   in
   Mimo.switch_gains ctrl "power";
-  let after = Mimo.step ctrl ~measured:[| 55.; 4.5 |] in
+  let after = [| 0.; 0. |] in
+  Mimo.step_into ctrl ~measured:[| 55.; 4.5 |] ~dst:after;
   check_bool "no slam on freq" true (abs_float (after.(0) -. before.(0)) < 0.6);
   check_bool "no slam on cores" true (abs_float (after.(1) -. before.(1)) < 1.5)
 

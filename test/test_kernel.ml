@@ -309,6 +309,46 @@ let test_pinned_checkpoints () =
         ^ Digest.to_hex (Digest.string c.Spectr.Manager.payload)))
     pinned_checkpoints
 
+(* The Exynos identification experiments: ARX parameters plus every
+   channel's offset, scale and saturation, hex-exact.  These guard the
+   reference-platform excitation windows of [Design_flow.Cluster_2x2]
+   directly, not only through the traces built on them. *)
+let pinned_identifications =
+  [
+    (0, "bfbaebdb67b8c744ac7fc1d416db8ca6");
+    (1, "b20baf2cd2c44dfe82372988d5ad85c1");
+  ]
+
+let identified_digest (id : Spectr.Design_flow.identified) =
+  let b = Buffer.create 1024 in
+  let f x = Buffer.add_string b (Printf.sprintf "%h;" x) in
+  let m = id.Spectr.Design_flow.model in
+  Buffer.add_string b
+    (Printf.sprintf "%d %d %d %d|" m.Spectr_sysid.Arx.na m.nb m.num_inputs
+       m.num_outputs);
+  for i = 0 to Matrix.rows m.theta - 1 do
+    for j = 0 to Matrix.cols m.theta - 1 do
+      f (Matrix.get m.theta i j)
+    done
+  done;
+  let channel (c : Mimo.channel) =
+    Buffer.add_string b (c.name ^ ":");
+    List.iter f [ c.offset; c.scale; c.min; c.max ]
+  in
+  Array.iter channel id.input_channels;
+  Array.iter channel id.output_channels;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_identifications () =
+  List.iter
+    (fun (i, digest) ->
+      let sub = Spectr.Design_flow.cluster_subsystem exynos i in
+      check_string
+        (Spectr.Design_flow.subsystem_name sub ^ " identified model")
+        digest
+        (identified_digest (Spectr.Design_flow.identify sub)))
+    pinned_identifications
+
 (* SPECTR+G is SPECTR+R with the reconfiguration rungs switched off:
    until FDIR latches a permanent finding the two run the same program,
    so under transient-only faults (each shorter than FDIR's 3 s
@@ -399,41 +439,6 @@ let test_design_gains_for_cached () =
             (Matrix.to_arrays g1.Lqg.kx = Matrix.to_arrays g2.Lqg.kx))
         ga gu
   | _ -> Alcotest.fail "uncached design failed"
-
-(* ------------------------------------------------------------------ *)
-(* _into variants are bit-identical                                    *)
-(* ------------------------------------------------------------------ *)
-
-let build_test_mimo () =
-  let ident = Spectr.Design_flow.identify Spectr.Design_flow.Big_2x2 in
-  let goals =
-    [
-      { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
-      { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
-    ]
-  in
-  let gains =
-    match Spectr.Design_flow.design_gains_for Spectr.Design_flow.Big_2x2 goals with
-    | Ok g -> g
-    | Error m -> Alcotest.failf "design failed: %s" m
-  in
-  Spectr.Design_flow.build_mimo ident ~gains ~initial:"qos"
-    ~refs:[| 60.; 4. |]
-
-let test_mimo_step_into_equals_step () =
-  let c1 = build_test_mimo () in
-  let c2 = build_test_mimo () in
-  let dst = [| 0.; 0. |] in
-  for i = 0 to 49 do
-    let qos = 40. +. (10. *. sin (0.3 *. float_of_int i)) in
-    let power = 3. +. (0.8 *. cos (0.17 *. float_of_int i)) in
-    let u1 = Mimo.step c1 ~measured:[| qos; power |] in
-    Mimo.step_into c2 ~measured:[| qos; power |] ~dst;
-    check_float "command 0" u1.(0) dst.(0);
-    check_float "command 1" u1.(1) dst.(1)
-  done;
-  (* Full state agreement, not just the commands. *)
-  check_bool "snapshots equal" true (Mimo.snapshot c1 = Mimo.snapshot c2)
 
 (* ------------------------------------------------------------------ *)
 (* Fused LQG kernel against a naive matrix reference                   *)
@@ -841,6 +846,8 @@ let () =
             `Slow test_transient_r_equals_g;
           Alcotest.test_case "pinned checkpoint payloads" `Slow
             test_pinned_checkpoints;
+          Alcotest.test_case "pinned exynos identifications" `Slow
+            test_pinned_identifications;
         ] );
       ( "batch-arena",
         [
@@ -853,8 +860,6 @@ let () =
         ] );
       ( "into-variants",
         [
-          Alcotest.test_case "Mimo.step_into = step" `Slow
-            test_mimo_step_into_equals_step;
           Alcotest.test_case "fused kernel = naive reference" `Quick
             test_fused_kernel_matches_naive;
         ] );

@@ -256,6 +256,13 @@ let test_power_little_cheap () =
 
 let fresh_soc ?config () = Soc.create ?config ~qos:Benchmarks.x264 ()
 
+(* One 50 ms period into a fresh observation buffer, for tests that keep
+   readings from several periods side by side. *)
+let observe soc =
+  let obs = Soc.make_observation () in
+  Soc.step_into soc ~dt:0.05 obs;
+  obs
+
 let test_soc_actuators () =
   let soc = fresh_soc () in
   let f = Soc.set_frequency soc 0 1234. in
@@ -343,8 +350,8 @@ let test_soc_power_range () =
 
 let test_soc_step_and_noise () =
   let soc = fresh_soc () in
-  let obs1 = Soc.step soc ~dt:0.05 in
-  let obs2 = Soc.step soc ~dt:0.05 in
+  let obs1 = observe soc in
+  let obs2 = observe soc in
   check_bool "time advances" true (obs2.Soc.time > obs1.Soc.time);
   check_bool "noise differs" true (obs1.Soc.chip_power <> obs2.Soc.chip_power);
   check_bool "noise small" true
@@ -352,15 +359,15 @@ let test_soc_step_and_noise () =
     /. Soc.true_chip_power soc
     < 0.2);
   check_int "8 cores" 8 (Array.length (Soc.per_core_ips soc));
-  Alcotest.check_raises "bad dt" (Invalid_argument "Soc.step: dt <= 0")
-    (fun () -> ignore (Soc.step soc ~dt:0.))
+  Alcotest.check_raises "bad dt" (Invalid_argument "Soc.step_into: dt <= 0")
+    (fun () -> Soc.step_into soc ~dt:0. (Soc.make_observation ()))
 
 let test_soc_deterministic () =
   let run () =
     let soc = fresh_soc () in
     let acc = ref 0. in
     for _ = 1 to 20 do
-      acc := !acc +. (Soc.step soc ~dt:0.05).Soc.chip_power
+      acc := !acc +. (observe soc).Soc.chip_power
     done;
     !acc
   in
@@ -368,10 +375,10 @@ let test_soc_deterministic () =
 
 let test_soc_per_core_ips_idle_sensitive () =
   let soc = fresh_soc () in
-  ignore (Soc.step soc ~dt:0.05);
+  ignore (observe soc);
   let base = (Soc.per_core_ips soc).(0) in
   Soc.set_idle_fraction soc ~core:0 0.8;
-  ignore (Soc.step soc ~dt:0.05);
+  ignore (observe soc);
   let after = Soc.per_core_ips soc in
   check_bool "idled core reads lower IPS" true (after.(0) < base);
   check_bool "other core picks up share" true (after.(1) > 0.)
@@ -398,7 +405,7 @@ let test_thermal_heats_under_load () =
   let soc = fresh_soc () in
   ignore (Soc.set_frequency soc 0 2000.);
   for _ = 1 to 200 do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   let t = Soc.temperature soc in
   (* steady state ~ ambient + R * P; ~5.5 W at full tilt -> ~72-75 C *)
@@ -409,13 +416,13 @@ let test_thermal_cools_when_idle () =
   let soc = fresh_soc () in
   ignore (Soc.set_frequency soc 0 2000.);
   for _ = 1 to 200 do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   let hot = Soc.temperature soc in
   ignore (Soc.set_frequency soc 0 200.);
   Soc.set_active_cores soc 0 1;
   for _ = 1 to 200 do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   check_bool "cools down" true (Soc.temperature soc < hot -. 10.)
 
@@ -432,7 +439,7 @@ let test_thermal_time_constant () =
   let tau = Soc.default_config.Soc.thermal_tau in
   let steps = int_of_float (tau /. 0.05) in
   for _ = 1 to steps do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   let progress = (Soc.temperature soc -. start) /. (target -. start) in
   (* power noise wiggles the target a little; accept a generous band *)
@@ -440,7 +447,7 @@ let test_thermal_time_constant () =
 
 let test_thermal_in_observation () =
   let soc = fresh_soc () in
-  let obs = Soc.step soc ~dt:0.05 in
+  let obs = observe soc in
   check_bool "sensor near true value" true
     (abs_float (obs.Soc.temperature_c -. Soc.temperature soc)
     < 0.1 *. Soc.temperature soc)
@@ -742,7 +749,7 @@ let test_faults_inactive_identity () =
   let run faults =
     let soc = fresh_soc () in
     Soc.set_faults soc faults;
-    List.init 40 (fun _ -> Soc.step soc ~dt:0.05)
+    List.init 40 (fun _ -> observe soc)
   in
   let plain = run None in
   let armed =
@@ -769,7 +776,7 @@ let soc_with fault ~start_s ~stop_s =
 
 let test_faults_power_dropout () =
   let soc = soc_with (Faults.Dropout Power) ~start_s:0. ~stop_s:10. in
-  let obs = Soc.step soc ~dt:0.05 in
+  let obs = observe soc in
   ignore obs;
   let powers = Soc.sensor_powers soc in
   check_float "big reads dead" 0. powers.(0);
@@ -780,13 +787,13 @@ let test_faults_qos_stuck () =
   let soc = soc_with (Faults.Stuck_at_last Qos) ~start_s:1. ~stop_s:10. in
   let last_healthy = ref 0. in
   for _ = 1 to 19 do
-    last_healthy := (Soc.step soc ~dt:0.05).Soc.qos_rate
+    last_healthy := (observe soc).Soc.qos_rate
   done;
   (* Fault opens at t = 1; every subsequent reading repeats the last
      pre-fault one exactly, which live noisy sensors never do. *)
   for _ = 1 to 10 do
     check_float "stuck repeats last reading" !last_healthy
-      (Soc.step soc ~dt:0.05).Soc.qos_rate
+      (observe soc).Soc.qos_rate
   done
 
 let test_faults_spikes () =
@@ -820,7 +827,7 @@ let test_faults_dvfs_stuck () =
   check_int "frequency unchanged" before (Soc.frequency soc 0);
   (* Advance past the window; the driver obeys again. *)
   for _ = 1 to 25 do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   check_int "works after window" 2000 (Soc.set_frequency soc 0 2000.)
 
@@ -830,7 +837,7 @@ let test_faults_gating_refused () =
   Soc.set_active_cores soc 0 1;
   check_int "request refused" before (Soc.active_cores soc 0);
   for _ = 1 to 25 do
-    ignore (Soc.step soc ~dt:0.05)
+    ignore (observe soc)
   done;
   Soc.set_active_cores soc 0 1;
   check_int "works after window" 1 (Soc.active_cores soc 0)
@@ -859,7 +866,7 @@ let test_identify_big_cluster () =
     let f = Soc.set_frequency soc 0 freq_sig.(t) in
     Soc.set_active_cores soc 0
       (int_of_float (Float.round cores_sig.(t)));
-    let obs = Soc.step soc ~dt:0.05 in
+    let obs = observe soc in
     u.(t) <- [| float_of_int f /. 1000.; Float.round cores_sig.(t) |];
     y.(t) <- [| obs.Soc.qos_rate; (Soc.sensor_powers soc).(0) |]
   done;

@@ -14,6 +14,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let check_string = Alcotest.(check string)
+let exynos = Platform_desc.exynos5422
+let big_2x2 = Design_flow.cluster_subsystem exynos 0
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
@@ -28,10 +30,7 @@ let test_events_controllability () =
     (Event.is_controllable Events.hold_budget)
 
 let test_events_lookup () =
-  (match Events.by_name "critical" with
-  | Some e -> check_string "name" "critical" (Event.name e)
-  | None -> Alcotest.fail "critical exists");
-  check_bool "unknown" true (Events.by_name "zap" = None);
+  check_string "name" "critical" (Event.name Events.critical);
   check_int "alphabet size" 17 (List.length Events.all)
 
 (* ------------------------------------------------------------------ *)
@@ -39,14 +38,14 @@ let test_events_lookup () =
 (* ------------------------------------------------------------------ *)
 
 let test_plant_qos_management_shape () =
-  let a = Plant_model.qos_management in
+  let a = fst (Plant_model.of_platform exynos) in
   check_int "3 states" 3 (Automaton.num_states a);
   check_string "initial" "Eval" (Automaton.initial a);
   check_bool "Eval marked" true (Automaton.is_marked a "Eval");
   check_bool "Raise not marked" false (Automaton.is_marked a "Raise")
 
 let test_plant_power_capping_shape () =
-  let a = Plant_model.power_capping in
+  let a = snd (Plant_model.of_platform exynos) in
   check_int "7 states" 7 (Automaton.num_states a);
   (* emergency path: critical -> switch -> capped -> safe -> restore -> qos *)
   match
@@ -62,14 +61,14 @@ let test_plant_power_capping_shape () =
   | None -> Alcotest.fail "emergency round trip must be defined"
 
 let test_plant_composed () =
-  let c = Plant_model.composed () in
+  let c = Plant_model.composed_for exynos in
   check_bool "composition nonempty" true (Automaton.num_states c > 3);
   check_string "ideal initial" "Eval.Safe" (Automaton.initial c);
   (* only (Eval, Safe) is marked *)
   check_int "single marked" 1 (List.length (Automaton.marked c))
 
 let test_spec_shape () =
-  let s = Spec.three_band in
+  let s = Spec.of_platform exynos in
   check_bool "threshold forbidden" true (Automaton.is_forbidden s "Threshold");
   check_string "initial" "Uncapped" (Automaton.initial s);
   (* three consecutive criticals hit the forbidden state *)
@@ -78,7 +77,7 @@ let test_spec_shape () =
   | None -> Alcotest.fail "critical chain defined in spec"
 
 let test_spec_forbids_increase_when_capped () =
-  let s = Spec.three_band in
+  let s = Spec.of_platform exynos in
   match
     Automaton.trace s
       [ Events.critical; Events.switch_power; Events.increase_big_power ]
@@ -92,7 +91,7 @@ let test_spec_forbids_increase_when_capped () =
 
 let test_synthesize_properties () =
   let sup, stats = Supervisor.synthesize () in
-  let plant = Plant_model.composed () in
+  let plant = Plant_model.composed_for exynos in
   check_bool "nonblocking" true (Verify.is_nonblocking sup);
   check_bool "controllable" true (Verify.is_controllable ~plant ~supervisor:sup);
   check_bool "pruned forbidden product states" true
@@ -137,8 +136,8 @@ let test_supcon_par_pins_case_study () =
   (* The 21-state case-study supervisor, synthesized by the sharded
      engine at several job counts, must be byte-identical (digest and
      stats) to the [supcon] (jobs=1) fixture. *)
-  let plant = Plant_model.composed () in
-  let spec = Spec.three_band in
+  let plant = Plant_model.composed_for exynos in
+  let spec = Spec.of_platform exynos in
   match Synthesis.supcon ~plant ~spec with
   | Error _ -> Alcotest.fail "case-study supervisor exists"
   | Ok (sup_seq, stats_seq) ->
@@ -212,10 +211,8 @@ let test_platform_event_families () =
         expected
         (Event.name (Events.increase px i)))
     [ "increaseLittlePower"; "increaseBigPower"; "increasePrimePower" ];
-  (* by_name covers minted per-cluster events, not just the constants. *)
-  match Events.by_name "increasePrimePower" with
-  | None -> Alcotest.fail "by_name misses minted per-cluster events"
-  | Some e -> check_bool "same event" true (Event.equal e (Events.increase px 2))
+  check_bool "pixel8pro family memoized" true
+    (Events.for_platform Platform_desc.pixel8pro == px)
 
 (* Run a pixel8pro supervisor through miss, surplus, emergency and
    recovery, and pin the per-cluster command flow: every cluster's
@@ -450,7 +447,7 @@ let test_scenario_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let test_design_flow_big_identifiable () =
-  let ident = Design_flow.identify Design_flow.Big_2x2 in
+  let ident = Design_flow.identify big_2x2 in
   check_bool "R2 gate" true ident.Design_flow.report.Spectr_sysid.Validation.identifiable;
   check_int "2 inputs" 2 (Array.length ident.Design_flow.input_channels);
   check_int "2 outputs" 2 (Array.length ident.Design_flow.output_channels)
@@ -459,7 +456,7 @@ let test_design_flow_large_worse_than_small ()
     =
   (* The §5.2 scalability claim: identification accuracy degrades as the
      controller grows. *)
-  let small = Design_flow.identify Design_flow.Big_2x2 in
+  let small = Design_flow.identify big_2x2 in
   let large = Design_flow.identify Design_flow.Large_10x10 in
   let avg_fit ident =
     let chans = ident.Design_flow.report.Spectr_sysid.Validation.channels in
@@ -472,7 +469,7 @@ let test_design_flow_large_worse_than_small ()
   check_int "10 inputs" 10 (Array.length large.Design_flow.input_channels)
 
 let test_design_flow_gains () =
-  let ident = Design_flow.identify Design_flow.Big_2x2 in
+  let ident = Design_flow.identify big_2x2 in
   match
     Design_flow.design_gains ident
       [
@@ -492,7 +489,7 @@ let test_design_flow_gains () =
         gains
 
 let test_design_flow_bad_goal () =
-  let ident = Design_flow.identify Design_flow.Big_2x2 in
+  let ident = Design_flow.identify big_2x2 in
   match
     Design_flow.design_gains ident
       [ { Design_flow.label = "bad"; q_y = [| 1. |] } ]
@@ -783,8 +780,9 @@ let test_closed_thermal_loop () =
   let soc = Soc.create ~qos:Benchmarks.x264 () in
   let qos_ref = 0.95 *. Perf_model.max_qos_rate Benchmarks.x264 in
   let max_temp = ref 0. in
+  let obs = Soc.make_observation () in
   for _ = 1 to 400 do
-    let obs = Soc.step soc ~dt:0.05 in
+    Soc.step_into soc ~dt:0.05 obs;
     let envelope =
       Thermal_governor.envelope gov ~temperature_c:obs.Soc.temperature_c
     in
@@ -1321,7 +1319,7 @@ let test_faulted_trace_columns () =
   let manager, _ = Spectr_manager.make () in
   let trace = Scenario.run ~manager cfg in
   check_bool "fault columns" true
-    (Trace.columns trace = Scenario.fault_columns);
+    (Trace.columns trace = Scenario.fault_columns_of exynos);
   let faults_col = Trace.column trace "faults" in
   let time = Trace.column trace "time" in
   Array.iteri
@@ -1337,7 +1335,8 @@ let test_unfaulted_trace_unchanged () =
   let cfg = Scenario.default_config Benchmarks.x264 in
   let manager, _ = Spectr_manager.make () in
   let trace = Scenario.run ~manager cfg in
-  check_bool "base columns only" true (Trace.columns trace = Scenario.columns)
+  check_bool "base columns only" true
+    (Trace.columns trace = Scenario.columns_of exynos)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery metrics                                                    *)
@@ -1403,9 +1402,9 @@ let test_metrics_envelope_step () =
     }
   in
   let trace =
-    Trace.create ~cap:10 ~columns:Scenario.columns ()
+    Trace.create ~cap:10 ~columns:(Scenario.columns_of exynos) ()
   in
-  let ncols = List.length Scenario.columns in
+  let ncols = List.length (Scenario.columns_of exynos) in
   for i = 0 to 9 do
     let row = Array.make ncols 0. in
     row.(0) <- float_of_int i *. dt;
