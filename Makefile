@@ -84,8 +84,10 @@ synth-smoke:
 # short scenario runs on every built-in shape (2-cluster board,
 # 3-cluster pixel8pro, generated k3), the exynos5422 trace CSV and the
 # big-2x2/little-2x2 identification reports are pinned byte-for-byte
-# against the pre-refactor build, and every file in the malformed-CSV
-# corpus is rejected with exit code 2 and a line-numbered parse error.
+# against the pre-refactor build, the `list` stdout (per-workload
+# max/min QoS rates on exynos5422) is pinned by MD5, and every file in
+# the malformed-CSV corpus is rejected with exit code 2 and a
+# line-numbered parse error.
 platform-smoke:
 	dune exec bin/spectr_cli.exe -- platforms
 	dune exec bin/spectr_cli.exe -- platforms --platform pixel8pro
@@ -102,6 +104,9 @@ platform-smoke:
 	echo "d7dbe170ea046c3884ef31c83bd8f212  /tmp/spectr-identify-big.txt" \
 	  | md5sum -c -
 	echo "8e45db501e90ec22503ec64c398834d0  /tmp/spectr-identify-little.txt" \
+	  | md5sum -c -
+	dune exec bin/spectr_cli.exe -- list > /tmp/spectr-list.txt
+	echo "2603590a3c4ab123c66a6c14ddcacedf  /tmp/spectr-list.txt" \
 	  | md5sum -c -
 	for f in test/platforms/bad/*.csv; do \
 	  dune exec bin/spectr_cli.exe -- platforms --platform $$f; \

@@ -345,11 +345,6 @@ let create ?marked ?(forbidden = []) ?(alphabet = []) ~name ~initial
     digest = None;
   }
 
-let of_transitions ?marked ?forbidden ~name ~initial trans =
-  create ?marked ?forbidden ~name ~initial
-    ~transitions:(List.map (fun { src; event; dst } -> (src, event, dst)) trans)
-    ()
-
 let accepts a w =
   let rec go i = function
     | [] -> a.marked.(i)

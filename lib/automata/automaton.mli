@@ -51,15 +51,6 @@ val create :
     for plants whose marking is irrelevant); an explicit [~marked:[]]
     marks no state. *)
 
-val of_transitions :
-  ?marked:string list ->
-  ?forbidden:string list ->
-  name:string ->
-  initial:string ->
-  transition list ->
-  t
-(** Record-based variant of {!create}. *)
-
 val of_indexed_arrays :
   name:string ->
   names:(unit -> string array) ->

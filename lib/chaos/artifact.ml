@@ -138,8 +138,9 @@ let of_string s =
   }
 
 let save ~path a =
-  (* Same crash-safety discipline as Manager.save_checkpoint: temp file
-     in the destination directory, then atomic rename. *)
+  (* Crash-safe: write a temp file in the destination directory, then
+     atomically rename over the destination, so a crash mid-write leaves
+     the previous artifact (or none), never a torn one. *)
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir "chaos-artifact" ".tmp" in
   let oc = open_out_bin tmp in

@@ -43,7 +43,6 @@ let all =
 (* --- per-cluster command families ------------------------------------ *)
 
 type family = {
-  fam_platform : Platform_desc.t;
   increase : Event.t array;
   decrease : Event.t array;
 }
@@ -73,11 +72,9 @@ let for_platform desc =
       let k = Platform_desc.num_clusters desc in
       let mint verb i = Event.controllable (command_name verb desc i) in
       {
-        fam_platform = desc;
         increase = Array.init k (mint "increase");
         decrease = Array.init k (mint "decrease");
       })
 
-let family_platform f = f.fam_platform
 let increase f i = f.increase.(i)
 let decrease f i = f.decrease.(i)

@@ -51,12 +51,6 @@ type finding =
   | Qos_sensor_down
   | Dvfs_latched of int
 
-let finding_channel = function
-  | Cluster_down i -> "cluster" ^ string_of_int i
-  | Power_sensor_down i -> "power" ^ string_of_int i
-  | Qos_sensor_down -> "qos"
-  | Dvfs_latched i -> "dvfs" ^ string_of_int i
-
 (* Per-channel classification stage: quiet, transient-flagged, or
    permanently latched (permanent never un-latches — recovery is the
    reconfiguration engine's job, not the detector's). *)

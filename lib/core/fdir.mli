@@ -42,10 +42,6 @@ type finding =
           rail latched.  Reconfiguration re-synthesizes on a
           {!Platform_desc.Pin_opp}-degraded description. *)
 
-val finding_channel : finding -> string
-(** Stable channel label ("power1", "cluster2", "qos", "dvfs0") used in
-    decision-log entries and bench tables. *)
-
 type t
 
 val create :

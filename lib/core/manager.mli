@@ -50,15 +50,6 @@ val require_variant : expect:string -> checkpoint -> unit
 (** Helper for [restore] implementations: raise [Invalid_argument]
     unless the checkpoint's variant tag is [expect]. *)
 
-val save_checkpoint : path:string -> checkpoint -> unit
-(** Crash-safe checkpoint persistence: write to a temp file in the
-    destination directory, then atomically rename — a crash mid-write
-    leaves the previous checkpoint (or none), never a torn file. *)
-
-val load_checkpoint : path:string -> checkpoint
-(** Raises [Invalid_argument] when the file is not a checkpoint
-    (bad magic, truncation); [Sys_error] on I/O failure. *)
-
 val sanitize_cores : ?max_cores:int -> float -> int
 (** The core count a [cores] command resolves to: clamped to
     [1, max_cores] (default 4), NaN conservatively to 1. *)

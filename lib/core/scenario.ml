@@ -234,7 +234,6 @@ let finished r =
 
 let trace r = r.r_trace
 let runner_soc r = r.r_soc
-let runner_faults r = r.r_faults
 let ticks_done r = r.r_tick
 
 let current_phase r =

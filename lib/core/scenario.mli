@@ -122,7 +122,6 @@ val runner_soc : runner -> Soc.t
 (** The live SoC — monitors read ground truth ({!Soc.true_chip_power},
     actuator readbacks) from here between ticks. *)
 
-val runner_faults : runner -> Faults.t option
 val ticks_done : runner -> int
 
 val current_phase : runner -> phase * int

@@ -91,9 +91,6 @@ val create : ?seed:int64 -> injection list -> t
 
 val injections : t -> injection list
 
-val is_active : t -> now:float -> kind -> bool
-(** Is a fault of exactly this kind active at [now]? *)
-
 val active_count : t -> now:float -> int
 (** Number of currently-active injections (the [faults] trace column). *)
 
@@ -106,8 +103,6 @@ val heartbeat_stalled : t -> now:float -> bool
 
 val cluster_dead : t -> now:float -> cluster:int -> bool
 (** Is cluster [cluster] permanently dead at [now]? *)
-
-val any_cluster_dead : t -> now:float -> bool
 
 val has_permanent : t -> bool
 (** Does the schedule contain any permanent injection at all?  Used by

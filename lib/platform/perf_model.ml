@@ -1,5 +1,3 @@
-type cluster = Big | Little
-
 (* Shared-DRAM bandwidth contention: every additional busy core inflates
    the memory-stall CPI term by this fraction.  This is the unmodelled
    cross-core interaction that makes per-core (10×10) identification hard
@@ -10,8 +8,8 @@ let contention = 0.12
 let contention_factor ~busy_cores =
   1. +. (contention *. Float.max 0. (busy_cores -. 1.))
 
-(* Derive (a, b) such that, with four busy cores (the calibration point
-   of the paper's speedup measurements),
+(* Derive the host cluster's (a, b) such that, with four busy cores (the
+   calibration point of the paper's speedup measurements),
      IPS(f) = f / (a + b·κ₄·f)          κ₄ = contention_factor 4
    satisfies IPS(1 GHz) = base_ipc_big * 1e9  and
    IPS(f_max)/IPS(f_min) = freq_scaling over the host cluster's DVFS
@@ -21,8 +19,8 @@ let base_coefficients w ~opp =
   let f_min = float_of_int (Opp.min_freq opp) /. 1000. in
   let f_max = float_of_int (Opp.max_freq opp) /. 1000. in
   let rho = f_max /. f_min in
-  (* On the built-in Exynos Big table r < rho always holds (freq_scaling
-     is validated > 1); an arbitrary description's host range can be too
+  (* On the Exynos big table r < rho always holds (freq_scaling is
+     validated > 1); an arbitrary description's host range can be too
      narrow for the workload's measured speedup, which the CPI law
      cannot represent (it needs s >= 0). *)
   if rho <= r then
@@ -36,22 +34,11 @@ let base_coefficients w ~opp =
   let kappa4 = contention_factor ~busy_cores:4. in
   (a, s *. a /. kappa4)
 
-let big_coefficients w = base_coefficients w ~opp:Opp.big
-
-let cpi_coefficients w = function
-  | Big -> big_coefficients w
-  | Little ->
-      let a, b = big_coefficients w in
-      (* In-order cores burn more compute cycles per instruction; the
-         memory-stall term is shared (same DRAM behind both clusters). *)
-      (a /. w.Workload.little_ipc_ratio, b)
-
-(* Description-driven coefficients: the host cluster gets the derivation
-   above over its own OPP range; every other cluster's law is expressed
-   relative to the host (or fully calibrated) per its [cpi_law].  On
-   [Platform_desc.exynos5422] this reproduces [cpi_coefficients]
-   bit-for-bit: the Little cluster's [Workload_ratio 1.0] divides by
-   [little_ipc_ratio *. 1.0], which is exactly [little_ipc_ratio]. *)
+(* The host cluster gets the derivation above over its own OPP range;
+   every other cluster's law is expressed relative to the host (or fully
+   calibrated) per its [cpi_law].  In-order cores burn more compute
+   cycles per instruction, so the ratios scale the compute term only;
+   the memory-stall term is shared (same DRAM behind every cluster). *)
 let coefficients_for w desc i =
   let host = Platform_desc.host desc in
   let host_opp = (Platform_desc.cluster desc host).Platform_desc.opp in
@@ -65,54 +52,29 @@ let coefficients_for w desc i =
     | Platform_desc.Fixed_ratio r -> (a /. r, b)
     | Platform_desc.Absolute { cpi_a; cpi_b } -> (cpi_a, cpi_b)
 
-let core_ips ?(busy_cores = 4.) w cluster ~freq_mhz =
-  let a, b = cpi_coefficients w cluster in
+let core_ips ?(busy_cores = 4.) w desc i ~freq_mhz =
+  let a, b = coefficients_for w desc i in
   let f_ghz = float_of_int freq_mhz /. 1000. in
   f_ghz *. 1e9 /. (a +. (b *. contention_factor ~busy_cores *. f_ghz))
 
-let cluster_ips w cluster ~freq_mhz ~effective_cores ~parallel_fraction =
-  core_ips ~busy_cores:effective_cores w cluster ~freq_mhz
-  *. Workload.amdahl_speedup ~parallel_fraction ~cores:effective_cores
-
-let qos_rate w cluster ~freq_mhz ~effective_cores ~parallel_fraction
-    ~demand_scale =
-  cluster_ips w cluster ~freq_mhz ~effective_cores ~parallel_fraction
-  /. (w.Workload.instructions_per_heartbeat *. demand_scale)
-
-let max_qos_rate w =
-  qos_rate w Big ~freq_mhz:(Opp.max_freq Opp.big) ~effective_cores:4.
-    ~parallel_fraction:w.Workload.parallel_fraction ~demand_scale:1.
-
-let min_qos_rate w =
-  qos_rate w Big ~freq_mhz:(Opp.min_freq Opp.big) ~effective_cores:1.
-    ~parallel_fraction:w.Workload.parallel_fraction ~demand_scale:1.
-
-(* Platform-parametric rates on the description's host cluster.  Same
-   arithmetic as [qos_rate] over [coefficients_for], so the exynos5422
-   results equal [max_qos_rate]/[min_qos_rate] bit-for-bit. *)
+(* Heartbeat rate of the application on [effective_cores] host cores at
+   the nominal parallel fraction: single-core IPS × Amdahl speedup over
+   the instructions per heartbeat. *)
 let qos_rate_for desc w ~freq_mhz ~effective_cores =
-  let host = Platform_desc.host desc in
-  let a, b = coefficients_for w desc host in
-  let f_ghz = float_of_int freq_mhz /. 1000. in
-  let core =
-    f_ghz *. 1e9
-    /. (a +. (b *. contention_factor ~busy_cores:effective_cores *. f_ghz))
-  in
-  core
+  core_ips ~busy_cores:effective_cores w desc (Platform_desc.host desc)
+    ~freq_mhz
   *. Workload.amdahl_speedup
        ~parallel_fraction:w.Workload.parallel_fraction ~cores:effective_cores
-  /. (w.Workload.instructions_per_heartbeat *. 1.)
+  /. w.Workload.instructions_per_heartbeat
 
 let max_qos_rate_for desc w =
-  let host = Platform_desc.host desc in
-  let c = Platform_desc.cluster desc host in
+  let c = Platform_desc.cluster desc (Platform_desc.host desc) in
   qos_rate_for desc w
     ~freq_mhz:(Opp.max_freq c.Platform_desc.opp)
     ~effective_cores:(float_of_int c.Platform_desc.cores)
 
 let min_qos_rate_for desc w =
-  let host = Platform_desc.host desc in
-  let c = Platform_desc.cluster desc host in
+  let c = Platform_desc.cluster desc (Platform_desc.host desc) in
   qos_rate_for desc w
     ~freq_mhz:(Opp.min_freq c.Platform_desc.opp)
     ~effective_cores:1.

@@ -1,4 +1,4 @@
-(** Analytic performance model for the heterogeneous clusters.
+(** Analytic performance model of a platform description's clusters.
 
     Per-core throughput follows a CPI law linear in frequency,
 
@@ -6,34 +6,22 @@
 
     where [a] is the compute CPI and [b·f] the memory-stall CPI (stall
     cycles scale with the clock because DRAM latency is constant in
-    seconds).  The coefficients are derived per workload so that the
-    speedup over the Big cluster's full DVFS range equals the workload's
-    [freq_scaling].  Multi-threaded scaling follows Amdahl's law with the
-    phase-dependent parallel fraction.
+    seconds).  The host cluster's coefficients are derived per workload
+    so that the speedup over its full DVFS range equals the workload's
+    [freq_scaling]; every other cluster's law follows its
+    [Platform_desc.cpi_law].  Multi-threaded scaling follows Amdahl's
+    law with the phase-dependent parallel fraction.
 
     Frequencies in MHz throughout, matching {!Opp}. *)
 
-type cluster = Big | Little
-(** The Exynos 5422 calibration reference.  Description-driven code
-    uses {!coefficients_for} with a cluster index instead. *)
-
-val cpi_coefficients : Workload.t -> cluster -> float * float
-(** (a, b) of the CPI law for one core of the given cluster.  Little
-    cores share the memory coefficient [b] (same DRAM) but scale the
-    compute term by [1 / little_ipc_ratio]. *)
-
-val base_coefficients : Workload.t -> opp:Opp.t -> float * float
-(** The host-cluster derivation over an arbitrary DVFS table: anchored
-    on [base_ipc_big] at 1 GHz with the workload's [freq_scaling]
-    spanning the table's range.  Raises [Invalid_argument] when the
-    range ratio is too narrow to represent the measured speedup.
-    [base_coefficients ~opp:Opp.big] is exactly the Big-cluster law. *)
-
 val coefficients_for : Workload.t -> Platform_desc.t -> int -> float * float
-(** CPI law of cluster [i] of a platform description: the host cluster
-    from {!base_coefficients} over its own table, other clusters per
-    their [Platform_desc.cpi_law].  Bit-identical to {!cpi_coefficients}
-    on [Platform_desc.exynos5422]. *)
+(** (a, b) of the CPI law for one core of cluster [i] of a platform
+    description.  The host cluster is anchored on [base_ipc_big] at
+    1 GHz with the workload's [freq_scaling] spanning its own table;
+    raises [Invalid_argument] when that range ratio is too narrow to
+    represent the measured speedup.  Other clusters share the host's
+    memory coefficient [b] (same DRAM) and scale its compute term per
+    their [Platform_desc.cpi_law], or carry absolute coefficients. *)
 
 val contention : float
 (** Shared-DRAM bandwidth contention: fractional inflation of the
@@ -44,43 +32,20 @@ val contention : float
 val contention_factor : busy_cores:float -> float
 (** 1 + contention·(busy − 1), clamped at busy ≥ 1. *)
 
-val core_ips : ?busy_cores:float -> Workload.t -> cluster -> freq_mhz:int -> float
-(** Instructions per second of one fully-busy core when [busy_cores]
-    (default 4) cores compete for memory bandwidth. *)
-
-val cluster_ips :
+val core_ips :
+  ?busy_cores:float ->
   Workload.t ->
-  cluster ->
+  Platform_desc.t ->
+  int ->
   freq_mhz:int ->
-  effective_cores:float ->
-  parallel_fraction:float ->
   float
-(** Throughput of the application on [effective_cores] (may be
-    fractional when background work steals capacity) at the given
-    frequency: single-core IPS × Amdahl speedup.  Raises when
-    [effective_cores <= 0]. *)
-
-val qos_rate :
-  Workload.t ->
-  cluster ->
-  freq_mhz:int ->
-  effective_cores:float ->
-  parallel_fraction:float ->
-  demand_scale:float ->
-  float
-(** Heartbeats (or frames) per second: {!cluster_ips} divided by the
-    (possibly phase-scaled) instructions per heartbeat. *)
-
-val max_qos_rate : Workload.t -> float
-(** Rate at the maximum allocation the experiments use: 4 Big cores at
-    the top OPP, nominal parallel fraction, no disturbance. *)
-
-val min_qos_rate : Workload.t -> float
-(** Rate at the minimum allocation: 1 Big core at the bottom OPP. *)
+(** Instructions per second of one fully-busy core of cluster [i] when
+    [busy_cores] (default 4) cores compete for memory bandwidth. *)
 
 val max_qos_rate_for : Platform_desc.t -> Workload.t -> float
-(** {!max_qos_rate} on the description's host cluster (all host cores at
-    its top OPP); equals {!max_qos_rate} on [exynos5422]. *)
+(** Heartbeats (or frames) per second at the maximum allocation: every
+    host core at the host's top OPP, nominal parallel fraction, no
+    disturbance. *)
 
 val min_qos_rate_for : Platform_desc.t -> Workload.t -> float
-(** {!min_qos_rate} on the description's host cluster. *)
+(** Rate at the minimum allocation: one host core at the bottom OPP. *)

@@ -18,8 +18,8 @@
 type cpi_law =
   | Host_law
       (** The QoS-hosting cluster: CPI-law coefficients derived from the
-          workload ({!Perf_model.base_coefficients} over this cluster's
-          OPP range). *)
+          workload over this cluster's OPP range
+          ({!Perf_model.coefficients_for}). *)
   | Workload_ratio of float
       (** [a = a_host / (workload.little_ipc_ratio * r)], [b] shared —
           the workload's own in-order/out-of-order IPC ratio, scaled.

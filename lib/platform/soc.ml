@@ -113,8 +113,8 @@ type t = {
   (* Per-core PMU readings are skipped, not drawn, on the hot path (no
      scenario column consumes them): [raw_ips] holds the noise-free
      values, [ips_snap] the generator state just before the per-core
-     draws, and {!per_core_ips}/{!host_ips} replay the exact draws on
-     demand into [noisy_ips]. *)
+     draws, and {!per_core_ips} replays the exact draws on demand into
+     [noisy_ips]. *)
   raw_ips : float array;
   noisy_ips : float array;
   ips_snap : Prng.t;
@@ -515,8 +515,8 @@ let step_into soc ~dt obs =
        let share = cap.(host) *. spill /. (qos_threads +. spill) in
        Float.min spill share
      end);
-  (* QoS application throughput ([qos_ips_now] with [Perf_model]'s
-     core_ips/cluster_ips and [Workload.amdahl_speedup] inlined). *)
+  (* QoS application throughput ([qos_ips_now] with
+     [Perf_model.core_ips] and [Workload.amdahl_speedup] inlined). *)
   let qos_eff = Float.max 0.1 (cap.(host) -. bg.(host)) in
   let f_host_ghz = float_of_int soc.freqs.(host) /. 1000. in
   let kappa_eff =
@@ -632,8 +632,8 @@ let step_into soc ~dt obs =
     else rawtot.(i) <- 0.
   done;
   (* The host cluster's per-core draws advance the stream without being
-     materialized; {!per_core_ips}/{!host_ips} replay them from
-     [ips_snap] if a caller asks.  Each non-host aggregate IS consumed
+     materialized; {!per_core_ips} replays them from [ips_snap] if a
+     caller asks.  Each non-host aggregate IS consumed
      every tick, so those draws happen for real (a materialized gaussian
      advances the state exactly as a skipped one) — unless every
      non-host raw total is exactly zero, where the sigma bound proves
@@ -738,11 +738,3 @@ let per_core_ips soc =
   materialize_ips soc;
   Array.copy soc.noisy_ips
 
-let host_ips soc =
-  materialize_ips soc;
-  let o = soc.offs.(soc.host) in
-  let s = ref soc.noisy_ips.(o) in
-  for j = 1 to soc.n_cores.(soc.host) - 1 do
-    s := !s +. soc.noisy_ips.(o + j)
-  done;
-  !s

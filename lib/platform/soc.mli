@@ -60,9 +60,8 @@ type observation = {
     fills it without allocating.  Per-cluster readings live in the
     SoC-owned {!sensor_powers}/{!ips_totals} arrays (an array field here
     would make the record a mixed block and box every float store);
-    per-core PMU readings are pull-based via {!per_core_ips} and
-    {!host_ips}, whose noise draws the hot path skips and replays on
-    demand. *)
+    per-core PMU readings are pull-based via {!per_core_ips}, whose
+    noise draws the hot path skips and replays on demand. *)
 
 val make_observation : unit -> observation
 (** A zeroed observation buffer for {!step_into}. *)
@@ -161,18 +160,14 @@ val sensor_powers : t -> float array
 val ips_totals : t -> float array
 (** Per-cluster aggregate noisy IPS of the last step, indexed by
     cluster.  The host cluster's entry is 0 — its per-core draws are
-    skipped on the hot path; use {!host_ips} for the replayed value.
-    Same ownership rules as {!sensor_powers}. *)
-
-val host_ips : t -> float
-(** Aggregate host-cluster instructions/s as of the last step — the
-    noisy reading whose draws the hot path skipped, replayed from the
-    saved generator state on demand.  Zero before the first step. *)
+    skipped on the hot path; sum its cores' {!per_core_ips} for the
+    replayed readings.  Same ownership rules as {!sensor_powers}. *)
 
 val per_core_ips : t -> float array
 (** Per-core PMU (IPS) readings as of the last step, [total_cores]
-    entries in global core order.  Fresh array per call; replayed on
-    demand like {!host_ips}. *)
+    entries in global core order.  Fresh array per call; the draws the
+    hot path skipped are replayed from the saved generator state on
+    demand.  Zero before the first step. *)
 
 val true_qos_rate : t -> float
 (** Noise-free QoS rate at the current actuator settings (for tests and

@@ -122,9 +122,14 @@ let test_amdahl () =
 (* Benchmarks: paper calibration targets                               *)
 (* ------------------------------------------------------------------ *)
 
+let exynos = Platform_desc.exynos5422
+
 let test_speedup_range_parsec () =
   (* §5: "Speedups from 3.2X (streamcluster) to 4.5X (x264)". *)
-  let ratio w = Perf_model.max_qos_rate w /. Perf_model.min_qos_rate w in
+  let ratio w =
+    Perf_model.max_qos_rate_for exynos w
+    /. Perf_model.min_qos_rate_for exynos w
+  in
   check_bool "streamcluster ~3.2x" true
     (abs_float (ratio Benchmarks.streamcluster -. 3.2) < 0.15);
   check_bool "x264 ~4.5x" true (abs_float (ratio Benchmarks.x264 -. 4.5) < 0.15);
@@ -135,7 +140,7 @@ let test_speedup_range_parsec () =
     Benchmarks.all_qos
 
 let test_x264_fps_ceiling () =
-  let max_fps = Perf_model.max_qos_rate Benchmarks.x264 in
+  let max_fps = Perf_model.max_qos_rate_for exynos Benchmarks.x264 in
   check_bool "~80 FPS at full allocation" true
     (max_fps > 75. && max_fps < 85.)
 
@@ -149,12 +154,17 @@ let test_benchmark_lookup () =
 (* Perf_model                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-core IPS on the reference description: cluster 0 is the big
+   (QoS-hosting) cluster, cluster 1 the little one. *)
+let big_ips w ~freq_mhz = Perf_model.core_ips w exynos 0 ~freq_mhz
+let little_ips w ~freq_mhz = Perf_model.core_ips w exynos 1 ~freq_mhz
+
 let test_perf_monotone_in_frequency () =
   let w = Benchmarks.x264 in
   let prev = ref 0. in
   List.iter
     (fun f ->
-      let ips = Perf_model.core_ips w Perf_model.Big ~freq_mhz:f in
+      let ips = big_ips w ~freq_mhz:f in
       check_bool "IPS increases with f" true (ips > !prev);
       prev := ips)
     [ 200; 600; 1000; 1400; 2000 ]
@@ -162,17 +172,14 @@ let test_perf_monotone_in_frequency () =
 let test_perf_memory_bound_saturates () =
   (* streamcluster (freq_scaling 1.5) must gain less from frequency than
      the microbenchmark (freq_scaling 2.8). *)
-  let gain w =
-    Perf_model.core_ips w Perf_model.Big ~freq_mhz:2000
-    /. Perf_model.core_ips w Perf_model.Big ~freq_mhz:200
-  in
+  let gain w = big_ips w ~freq_mhz:2000 /. big_ips w ~freq_mhz:200 in
   check_bool "memory-bound flatter" true
     (gain Benchmarks.streamcluster < gain Benchmarks.microbench)
 
 let test_perf_little_slower () =
   let w = Benchmarks.x264 in
-  let big = Perf_model.core_ips w Perf_model.Big ~freq_mhz:1000 in
-  let little = Perf_model.core_ips w Perf_model.Little ~freq_mhz:1000 in
+  let big = big_ips w ~freq_mhz:1000 in
+  let little = little_ips w ~freq_mhz:1000 in
   check_bool "little < big at same f" true (little < big);
   (* The shared memory-stall term compresses the in-order/out-of-order gap
      at equal frequency, so the ratio sits well above little_ipc_ratio. *)
@@ -182,10 +189,7 @@ let test_perf_freq_scaling_exact () =
   (* The CPI law must reproduce the declared freq_scaling exactly. *)
   List.iter
     (fun w ->
-      let r =
-        Perf_model.core_ips w Perf_model.Big ~freq_mhz:2000
-        /. Perf_model.core_ips w Perf_model.Big ~freq_mhz:200
-      in
+      let r = big_ips w ~freq_mhz:2000 /. big_ips w ~freq_mhz:200 in
       check_bool
         (w.Workload.name ^ " freq scaling")
         true
@@ -196,10 +200,39 @@ let test_perf_ipc_reference () =
   (* IPS at 1 GHz = base_ipc * 1e9. *)
   let w = Benchmarks.x264 in
   check_bool "IPC at 1GHz" true
-    (abs_float
-       ((Perf_model.core_ips w Perf_model.Big ~freq_mhz:1000 /. 1e9)
-       -. w.Workload.base_ipc_big)
+    (abs_float ((big_ips w ~freq_mhz:1000 /. 1e9) -. w.Workload.base_ipc_big)
     < 1e-6)
+
+(* The reference QoS rates, bit for bit ([%h]): every workload's
+   [max]/[min] on exynos5422 feeds `spectr_cli list` and the examples'
+   QoS demands, so any change to the CPI-law arithmetic shows here. *)
+let test_perf_exynos_rates_pinned () =
+  let pinned =
+    [
+      ("microbench", "0x1.0f4de9bd37a6fp+7", "0x1.e22e8ba2e8ba5p+3");
+      ("bodytrack", "0x1.f78e38e38e39p+5", "0x1.848f26734f9acp+3");
+      ("canneal", "0x1.dd63a7aed804ep+5", "0x1.8423639a662cp+4");
+      ("kmeans", "0x1.0189c031169a2p+6", "0x1.c9cf377de207cp+3");
+      ("knn", "0x1.f5475da068c1cp+5", "0x1.27d95bc609a9p+4");
+      ("lesq", "0x1.d7a7c3a0cc55fp+5", "0x1.4dba5f1b90dbbp+3");
+      ("lr", "0x1.d73de8933de87p+5", "0x1.6b9ff98b65e03p+3");
+      ("streamcluster", "0x1.05a9b63a428b9p+6", "0x1.48a60dd67c8a5p+4");
+      ("x264", "0x1.3fb861f6582ddp+6", "0x1.1c71c71c71c72p+4");
+    ]
+  in
+  let workloads = Benchmarks.microbench :: Benchmarks.all_qos in
+  check_int "every workload pinned" (List.length pinned)
+    (List.length workloads);
+  List.iter2
+    (fun w (name, max_h, min_h) ->
+      Alcotest.(check string) "workload" name w.Workload.name;
+      Alcotest.(check string)
+        (name ^ " max") max_h
+        (Printf.sprintf "%h" (Perf_model.max_qos_rate_for exynos w));
+      Alcotest.(check string)
+        (name ^ " min") min_h
+        (Printf.sprintf "%h" (Perf_model.min_qos_rate_for exynos w)))
+    workloads pinned
 
 (* ------------------------------------------------------------------ *)
 (* Power_model                                                         *)
@@ -1082,6 +1115,8 @@ let () =
           Alcotest.test_case "freq scaling exact" `Quick
             test_perf_freq_scaling_exact;
           Alcotest.test_case "IPC reference" `Quick test_perf_ipc_reference;
+          Alcotest.test_case "exynos QoS rates pinned" `Quick
+            test_perf_exynos_rates_pinned;
         ] );
       ( "power-model",
         [

@@ -778,7 +778,10 @@ let test_closed_thermal_loop () =
   let gov = Thermal_governor.create ~trip_c:63. ~release_c:56. ~tdp:5.0
       ~emergency_envelope:3.2 () in
   let soc = Soc.create ~qos:Benchmarks.x264 () in
-  let qos_ref = 0.95 *. Perf_model.max_qos_rate Benchmarks.x264 in
+  let qos_ref =
+    0.95
+    *. Perf_model.max_qos_rate_for Platform_desc.exynos5422 Benchmarks.x264
+  in
   let max_temp = ref 0. in
   let obs = Soc.make_observation () in
   for _ = 1 to 400 do
