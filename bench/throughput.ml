@@ -3,8 +3,10 @@
    Three layers, measured separately so a regression is attributable:
 
    - the zero-allocation kernels themselves (Soc.step_into,
-     Supervisor.step): steady-state bytes allocated per call must be
-     exactly zero, and the call cost is a few hundred nanoseconds; so
+     Supervisor.step, Mimo.step_into — the latter two replaying the
+     measurements of a recorded exynos5422 x264 run): steady-state
+     bytes allocated per call must be exactly zero, and the call cost
+     is a few hundred nanoseconds; so
      must a whole warm SPECTR, SPECTR+G and SPECTR+R run through
      Scenario.tick on each built-in platform shape (0 B/tick);
    - the one-shot scenario loop (platform + manager + trace): ticks/s
@@ -50,6 +52,56 @@ let gate_alloc name per_iter =
   Printf.printf "  %-18s %5.2f B/call  (budget 0)  PASS\n" name per_iter
 
 (* --- kernel microbenches ---------------------------------------------- *)
+
+let run_config config mgr =
+  let r = Spectr.Scenario.start config in
+  let rec go () =
+    match Spectr.Scenario.tick r ~manager:mgr with
+    | Some _ -> go ()
+    | None -> ()
+  in
+  go ();
+  Spectr.Scenario.trace r
+
+(* Recorded traffic for the supervisor and leaf-controller microbenches:
+   what a SPECTR manager saw over one default x264 run on exynos5422,
+   read back from the run's trace — its [qos] column is the windowed
+   heartbeat rate the manager observes, its [<cluster>_power] columns
+   the sensor readings it sums (in description order) into the
+   supervisor's chip power.  The supervisor runs on every second
+   controller period, so its samples are the even ticks. *)
+type recorded = {
+  qos : float array; (* per supervisor period *)
+  qos_ref : float array;
+  power : float array;
+  envelope : float array;
+  meas : float array array; (* per controller period: host [qos; power] *)
+}
+
+let recorded_run () =
+  let platform = Platform_desc.exynos5422 in
+  let mgr, _ = Spectr.Spectr_manager.make ~platform () in
+  let tr =
+    run_config (Spectr.Scenario.default_config ~platform Benchmarks.x264) mgr
+  in
+  let col = Trace.column tr in
+  let powers =
+    List.init (Platform_desc.num_clusters platform) (fun i ->
+        col (Platform_desc.cluster_name platform i ^ "_power"))
+  in
+  let qos = col "qos" in
+  let host_power = List.nth powers (Platform_desc.host platform) in
+  let even a = Array.init ((Array.length a + 1) / 2) (fun i -> a.(2 * i)) in
+  {
+    qos = even qos;
+    qos_ref = even (col "qos_ref");
+    power =
+      even
+        (Array.init (Trace.length tr) (fun t ->
+             List.fold_left (fun acc p -> acc +. p.(t)) 0. powers));
+    envelope = even (col "envelope");
+    meas = Array.mapi (fun t q -> [| q; host_power.(t) |]) qos;
+  }
 
 (* A whole x264 run of a warm SPECTR, SPECTR+G or SPECTR+R manager
    through Scenario.tick, counting minor-heap words over the ticks only:
@@ -107,29 +159,61 @@ let kernel_section () =
     done
   in
   gate_alloc "Soc.step_into" (bytes_per_iter iters soc_step);
+  let traffic = recorded_run () in
   let commands =
     {
       Spectr.Supervisor.switch_gains = (fun _ -> ());
       set_power_ref = (fun _ _ -> ());
     }
   in
-  let sup = Spectr.Supervisor.create ~commands ~envelope:2.0 () in
-  (* Measurements computed at run time, through the sample the managers
-     use: literal float arguments would be statically allocated boxes
-     and hide the boxing a real caller pays. *)
+  let sup = Spectr.Supervisor.create ~commands ~envelope:5.0 () in
+  (* The recorded samples, replayed cyclically through the sample the
+     managers use: literal float arguments would be statically
+     allocated boxes and hide the boxing a real caller pays. *)
   let sample = Spectr.Supervisor.sample () in
+  let periods = Array.length traffic.qos in
   let sup_step n =
-    for i = 1 to n do
-      let x = float_of_int (i land 63) in
-      sample.Spectr.Supervisor.qos <- 25. +. (0.2 *. x);
-      sample.Spectr.Supervisor.qos_ref <- 30.;
-      sample.Spectr.Supervisor.power <- 1.2 +. (0.02 *. x);
-      sample.Spectr.Supervisor.envelope <- 2.0;
-      Spectr.Supervisor.step_sample sup sample
+    let j = ref 0 in
+    for _ = 1 to n do
+      let t = !j in
+      sample.Spectr.Supervisor.qos <- traffic.qos.(t);
+      sample.Spectr.Supervisor.qos_ref <- traffic.qos_ref.(t);
+      sample.Spectr.Supervisor.power <- traffic.power.(t);
+      sample.Spectr.Supervisor.envelope <- traffic.envelope.(t);
+      Spectr.Supervisor.step_sample sup sample;
+      j := if t + 1 = periods then 0 else t + 1
     done
   in
   sup_step 1_000;
   gate_alloc "Supervisor.step" (bytes_per_iter iters sup_step);
+  (* The host cluster's leaf controller, built as the manager builds it
+     and fed the recorded host measurements cyclically. *)
+  let ctrl =
+    match
+      Spectr.Design_flow.leaf_controller
+        (Spectr.Design_flow.cluster_subsystem Platform_desc.exynos5422
+           (Platform_desc.host Platform_desc.exynos5422))
+        [
+          { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
+          { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
+        ]
+        ~initial:"qos" ~refs:[| 60.; 4. |]
+    with
+    | Ok c -> c
+    | Error m -> failwith m
+  in
+  let u = [| 0.; 0. |] in
+  let ticks = Array.length traffic.meas in
+  let mimo_step n =
+    let j = ref 0 in
+    for _ = 1 to n do
+      let t = !j in
+      Spectr_control.Mimo.step_into ctrl ~measured:traffic.meas.(t) ~dst:u;
+      j := if t + 1 = ticks then 0 else t + 1
+    done
+  in
+  mimo_step 1_000;
+  gate_alloc "Mimo.step_into" (bytes_per_iter iters mimo_step);
   List.iter
     (fun variant ->
       List.iter (scenario_gate variant)
@@ -143,7 +227,9 @@ let kernel_section () =
     Printf.printf "  %-18s %6.0f ns/call\n" "Soc.step_into"
       (seconds_per_iter iters soc_step *. 1e9);
     Printf.printf "  %-18s %6.0f ns/call\n" "Supervisor.step"
-      (seconds_per_iter iters sup_step *. 1e9)
+      (seconds_per_iter iters sup_step *. 1e9);
+    Printf.printf "  %-18s %6.0f ns/call\n" "Mimo.step_into"
+      (seconds_per_iter iters mimo_step *. 1e9)
   end
 
 (* --- scenario loop ----------------------------------------------------- *)
@@ -161,16 +247,6 @@ let long_config seed =
           { p with Spectr.Scenario.duration_s = p.Spectr.Scenario.duration_s *. 10. })
         cfg.Spectr.Scenario.phases;
   }
-
-let run_config config mgr =
-  let r = Spectr.Scenario.start config in
-  let rec go () =
-    match Spectr.Scenario.tick r ~manager:mgr with
-    | Some _ -> go ()
-    | None -> ()
-  in
-  go ();
-  Spectr.Scenario.trace r
 
 let one_shot_section () =
   Util.subheading "scenario loop (SPECTR on x264, one domain)";

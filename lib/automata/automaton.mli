@@ -143,9 +143,11 @@ val step_index : t -> int -> int -> int option
 
 val step_index_raw : t -> int -> int -> int
 (** {!step_index} without the option: the destination index, or [-1]
-    when δ is undefined.  The tick-path variant — state indices are
-    non-negative, so the sentinel is unambiguous and nothing is
-    allocated. *)
+    when δ is undefined.  The allocation-free variant — state indices
+    are non-negative, so the sentinel is unambiguous and nothing is
+    allocated.  (The runtime supervisor steps on a dense table compiled
+    from the automaton, [Spectr.Supervisor.table], that agrees with this
+    everywhere.) *)
 
 val iter_row : t -> int -> (int -> int -> unit) -> unit
 (** [iter_row a i f] calls [f eid dst] for each outgoing transition of

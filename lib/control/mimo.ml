@@ -14,20 +14,42 @@ let channel ?(offset = 0.) ?(scale = 1.) ?(min = neg_infinity)
   if min > max then invalid_arg "Mimo.channel: min > max";
   { name; offset; scale; min; max }
 
-(* One gain set flattened for the tick kernel: the backing stores of
-   its matrices (row-major, see {!Matrix.data}; shared with the
-   immutable [Lqg.gains], never written) plus the integrator leak, and
-   the factored Gram matrix of its bumpless-transfer solve ([None] when
-   singular). *)
+(* One gain matrix in compressed sparse rows: row [i]'s nonzero
+   coefficients are [v.(rp.(i)) .. v.(rp.(i+1) - 1)], in column order,
+   at columns [ci.(…)].  An entry is kept exactly when [g <> 0.] holds
+   — the test [Matrix.mul] skips on — so [-0.] is dropped and NaN is
+   kept. *)
+type csr = { rp : int array; ci : int array; v : float array }
+
+let csr_of mat =
+  let cols = Matrix.cols mat and d = Matrix.data mat in
+  let nz =
+    List.filter (fun q -> d.(q) <> 0.) (List.init (Array.length d) Fun.id)
+  in
+  {
+    rp =
+      Array.init (Matrix.rows mat + 1) (fun i ->
+          List.length (List.filter (fun q -> q < i * cols) nz));
+    ci = Array.of_list (List.map (fun q -> q mod cols) nz);
+    v = Array.of_list (List.map (fun q -> d.(q)) nz);
+  }
+
+(* One gain set compiled for the tick kernel: every matrix of the
+   control law as zero-free CSR rows, the integrator leak, and — for
+   the bumpless-transfer solve of [switch_gains] only — the dense
+   row-major Kz (see {!Matrix.data}; shared with the immutable
+   [Lqg.gains], never written) and the factored Gram matrix of that
+   solve ([None] when singular). *)
 type kernel = {
   gains : Lqg.gains;
   gram : Matrix.factored option;
-  ka : float array; (* A, n x n *)
-  kb : float array; (* B, n x m *)
-  kc : float array; (* C, p x n *)
-  kl : float array; (* L, n x p *)
-  kkx : float array; (* Kx, m x n *)
-  kkz : float array; (* Kz, m x p *)
+  kz_dense : float array; (* Kz, m x p *)
+  ka : csr; (* A, n x n *)
+  kb : csr; (* B, n x m *)
+  kc : csr; (* C, p x n *)
+  kl : csr; (* L, n x p *)
+  kkx : csr; (* Kx, m x n *)
+  kkz : csr; (* Kz, m x p *)
   leak : float;
 }
 
@@ -42,14 +64,76 @@ let kernel_of g =
   {
     gains = g;
     gram = (try Some (Matrix.factor gram) with Failure _ -> None);
-    ka = Matrix.data model.Statespace.a;
-    kb = Matrix.data model.Statespace.b;
-    kc = Matrix.data model.Statespace.c;
-    kl = Matrix.data g.Lqg.l;
-    kkx = Matrix.data g.Lqg.kx;
-    kkz = Matrix.data kz;
+    kz_dense = Matrix.data kz;
+    ka = csr_of model.Statespace.a;
+    kb = csr_of model.Statespace.b;
+    kc = csr_of model.Statespace.c;
+    kl = csr_of g.Lqg.l;
+    kkx = csr_of g.Lqg.kx;
+    kkz = csr_of kz;
     leak = g.Lqg.leak;
   }
+
+(* The gain sets of one controller, validated and compiled together:
+   what {!compile} returns and every controller built from it shares. *)
+type kernels = {
+  gain_list : Lqg.gains list;
+  sets : (string * kernel) list;
+  n : int;
+  m : int;
+  p : int;
+}
+
+let dims g =
+  ( Statespace.order g.Lqg.model,
+    Statespace.num_inputs g.Lqg.model,
+    Statespace.num_outputs g.Lqg.model )
+
+(* Every matrix of a gain set agrees with (n, m, p) — the only shape
+   check the kernel relies on, made once per gain set here. *)
+let check_shapes ~who (n, m, p) g =
+  let model = g.Lqg.model in
+  let shape what mat rows cols =
+    if Matrix.rows mat <> rows || Matrix.cols mat <> cols then
+      invalid_arg
+        (Printf.sprintf "%s: %s of %S is %dx%d, expected %dx%d" who what
+           g.Lqg.label (Matrix.rows mat) (Matrix.cols mat) rows cols)
+  in
+  shape "A" model.Statespace.a n n;
+  shape "B" model.Statespace.b n m;
+  shape "C" model.Statespace.c p n;
+  shape "L" g.Lqg.l n p;
+  shape "Kx" g.Lqg.kx m n;
+  shape "Kz" g.Lqg.kz m p
+
+let compile_as ~who gains =
+  (match gains with [] -> invalid_arg (who ^ ": no gain sets") | _ -> ());
+  let labels = List.map (fun g -> g.Lqg.label) gains in
+  let rec dup = function
+    | [] -> None
+    | x :: rest -> if List.mem x rest then Some x else dup rest
+  in
+  (match dup labels with
+  | Some l -> invalid_arg (Printf.sprintf "%s: duplicate label %S" who l)
+  | None -> ());
+  let d0 = dims (List.hd gains) in
+  List.iter
+    (fun g ->
+      if dims g <> d0 then
+        invalid_arg (who ^ ": gain sets disagree on dimensions");
+      check_shapes ~who d0 g)
+    gains;
+  let n, m, p = d0 in
+  {
+    gain_list = gains;
+    sets = List.map (fun g -> (g.Lqg.label, kernel_of g)) gains;
+    n;
+    m;
+    p;
+  }
+
+let compile gains = compile_as ~who:"Mimo.compile" gains
+let gains ks = ks.gain_list
 
 (* The controller's scalars, in a record of floats only: OCaml stores
    it flat, so the kernel reads and writes them unboxed (a float field
@@ -62,7 +146,7 @@ type scalars = {
 }
 
 type t = {
-  kernels : (string * kernel) list;
+  kernels : kernels;
   mutable active : kernel;
   n : int;
   m : int;
@@ -91,59 +175,20 @@ type t = {
   mutable last_valid : bool;
 }
 
-let dims g =
-  ( Statespace.order g.Lqg.model,
-    Statespace.num_inputs g.Lqg.model,
-    Statespace.num_outputs g.Lqg.model )
-
-(* Every matrix of a gain set agrees with (n, m, p) — the only shape
-   check the kernel relies on, made once per gain set here. *)
-let check_shapes (n, m, p) g =
-  let model = g.Lqg.model in
-  let shape what mat rows cols =
-    if Matrix.rows mat <> rows || Matrix.cols mat <> cols then
-      invalid_arg
-        (Printf.sprintf "Mimo.create: %s of %S is %dx%d, expected %dx%d" what
-           g.Lqg.label (Matrix.rows mat) (Matrix.cols mat) rows cols)
-  in
-  shape "A" model.Statespace.a n n;
-  shape "B" model.Statespace.b n m;
-  shape "C" model.Statespace.c p n;
-  shape "L" g.Lqg.l n p;
-  shape "Kx" g.Lqg.kx m n;
-  shape "Kz" g.Lqg.kz m p
-
-let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
-  if z_clamp <= 0. then invalid_arg "Mimo.create: z_clamp <= 0";
-  (match gains with [] -> invalid_arg "Mimo.create: no gain sets" | _ -> ());
-  let labels = List.map (fun g -> g.Lqg.label) gains in
-  let rec dup = function
-    | [] -> None
-    | x :: rest -> if List.mem x rest then Some x else dup rest
-  in
-  (match dup labels with
-  | Some l -> invalid_arg (Printf.sprintf "Mimo.create: duplicate label %S" l)
-  | None -> ());
-  let d0 = dims (List.hd gains) in
-  List.iter
-    (fun g ->
-      if dims g <> d0 then
-        invalid_arg "Mimo.create: gain sets disagree on dimensions";
-      check_shapes d0 g)
-    gains;
-  let n, m, p = d0 in
-  if Array.length inputs <> m then invalid_arg "Mimo.create: inputs length";
-  if Array.length outputs <> p then invalid_arg "Mimo.create: outputs length";
-  if Array.length refs <> p then invalid_arg "Mimo.create: refs length";
-  let kernels = List.map (fun g -> (g.Lqg.label, kernel_of g)) gains in
+let make ~who ?(z_clamp = 20.) (ks : kernels) ~initial ~inputs ~outputs ~refs =
+  if z_clamp <= 0. then invalid_arg (who ^ ": z_clamp <= 0");
+  let n = ks.n and m = ks.m and p = ks.p in
+  if Array.length inputs <> m then invalid_arg (who ^ ": inputs length");
+  if Array.length outputs <> p then invalid_arg (who ^ ": outputs length");
+  if Array.length refs <> p then invalid_arg (who ^ ": refs length");
   let active =
-    match List.assoc_opt initial kernels with
+    match List.assoc_opt initial ks.sets with
     | Some k -> k
-    | None -> invalid_arg (Printf.sprintf "Mimo.create: unknown label %S" initial)
+    | None -> invalid_arg (Printf.sprintf "%s: unknown label %S" who initial)
   in
   let field f chs = Array.map f chs in
   {
-    kernels;
+    kernels = ks;
     active;
     n;
     m;
@@ -169,26 +214,32 @@ let create ?(z_clamp = 20.) ~gains ~initial ~inputs ~outputs ~refs () =
     last_valid = false;
   }
 
-(* Unchecked float-array access for the kernel below: every index is
-   bounded by the dimensions checked once, when the gain sets and the
-   channels were installed ([create], [restore]), or by the argument
-   lengths checked on entry. *)
-(* Unchecked float-array access for the kernel below: every index is
-   bounded by the dimensions checked once, when the gain sets and the
-   channels were installed ([create], [restore]), or by the argument
-   lengths checked on entry. *)
+let of_kernels ?z_clamp ks ~initial ~inputs ~outputs ~refs () =
+  make ~who:"Mimo.of_kernels" ?z_clamp ks ~initial ~inputs ~outputs ~refs
+
+let create ?z_clamp ~gains ~initial ~inputs ~outputs ~refs () =
+  let who = "Mimo.create" in
+  make ~who ?z_clamp (compile_as ~who gains) ~initial ~inputs ~outputs ~refs
+
+let kernels ctrl = ctrl.kernels
+
+(* Unchecked array access for the kernel below: every index is bounded
+   by the dimensions checked once, when the gain sets were compiled and
+   the channels installed ([compile], [make], [restore]), by the CSR
+   row pointers and column indices built in [csr_of], or by the
+   argument lengths checked on entry. *)
 external ( .%() ) : float array -> int -> float = "%array_unsafe_get"
 external ( .%()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
 
-(* Row [i] of the row-major [rows x cols] matrix [a] times [x], the way
-   [Matrix.mul] accumulates it: from [0.], in column order, skipping
-   exact-zero coefficients.  Inlined, so the sum never leaves a
-   register. *)
-let[@inline] row_dot a ~cols i x =
+(* Row [i] of a CSR matrix times [x]: [Matrix.mul]'s zero-skipping
+   accumulation — the same terms, in the same column order, from [+0.]
+   — with no branch left in the loop.  Inlined, so the sum never leaves
+   a register. *)
+let[@inline] row_dot s i x =
   let acc = ref 0. in
-  for j = 0 to cols - 1 do
-    let g = a.%((i * cols) + j) in
-    if g <> 0. then acc := !acc +. (g *. x.%(j))
+  for q = s.rp.!(i) to s.rp.!(i + 1) - 1 do
+    acc := !acc +. (s.v.%(q) *. x.%(s.ci.!(q)))
   done;
   !acc
 
@@ -197,8 +248,9 @@ let[@inline] row_dot a ~cols i x =
    matrix formulation it replaced (and which test/test_kernel.ml keeps
    as the reference), so every trace stays bit-identical:
 
-   - every matrix-vector product is [row_dot], i.e. [Matrix.mul]'s
-     accumulation;
+   - every matrix-vector product is [row_dot] over the compiled CSR
+     rows, i.e. [Matrix.mul]'s accumulation (same terms, same order,
+     from [+0.]);
    - every sum keeps its operand order (x̂ + L·e, Kx·x + Kz·z, A·x + B·u);
    - saturation and integrator clamping use [Float.min]/[Float.max] in
      the same nesting, which fixes the NaN and signed-zero results.
@@ -222,10 +274,10 @@ let step_into ctrl ~measured ~dst =
   (* 2. Kalman measurement update on the predicted state:
         e = y − C·x̂, x_f = x̂ + L·e *)
   for i = 0 to p - 1 do
-    e.%(i) <- y.%(i) -. row_dot k.kc ~cols:n i xhat
+    e.%(i) <- y.%(i) -. row_dot k.kc i xhat
   done;
   for i = 0 to n - 1 do
-    xf.%(i) <- xhat.%(i) +. row_dot k.kl ~cols:p i e
+    xf.%(i) <- xhat.%(i) +. row_dot k.kl i e
   done;
   (* The innovation's norm is the model-consistency residual the FDIR
      layer watches: extra reads only, nothing the control law sees. *)
@@ -244,7 +296,7 @@ let step_into ctrl ~measured ~dst =
      5. saturate in physical units, keeping the normalized saturated
         command for the time update *)
   for i = 0 to m - 1 do
-    let u = -.(row_dot k.kkx ~cols:n i xf +. row_dot k.kkz ~cols:p i zc) in
+    let u = -.(row_dot k.kkx i xf +. row_dot k.kkz i zc) in
     let v =
       Float.min ctrl.in_max.%(i)
         (Float.max ctrl.in_min.%(i) ((u *. ctrl.in_scale.%(i)) +. ctrl.in_off.%(i)))
@@ -264,7 +316,7 @@ let step_into ctrl ~measured ~dst =
   done;
   (* 7. time update with the saturated command: x' = A·x_f + B·u *)
   for i = 0 to n - 1 do
-    xhat.%(i) <- row_dot k.ka ~cols:n i xf +. row_dot k.kb ~cols:m i u_prev
+    xhat.%(i) <- row_dot k.ka i xf +. row_dot k.kb i u_prev
   done;
   Array.blit dst 0 ctrl.last 0 m;
   ctrl.last_valid <- true
@@ -275,13 +327,14 @@ let step_into ctrl ~measured ~dst =
    Kz_newᵀ (Kz_old z_old).  Without this, a wound integrator
    reinterpreted under different gains slams the actuators and can
    limit-cycle the supervisor.  The products below follow [Matrix.mul]
-   ([row_dot], and its transpose for Kz_newᵀ) and the Gram matrix was
-   factored when the gain set was installed, so the switch is
+   ([row_dot] for Kz_old, and a zero-skipping pass over the dense Kz_new
+   for its transpose) and the Gram matrix was factored when the gain set
+   was compiled, so the switch is
    bit-identical to the matrix formulation and allocates nothing; a
    singular Gram matrix leaves the integrators as they are. *)
 let switch_gains ctrl label =
   (* [List.assoc], not [assoc_opt]: the option would be an allocation. *)
-  match List.assoc label ctrl.kernels with
+  match List.assoc label ctrl.kernels.sets with
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Mimo.switch_gains: unknown label %S" label)
   | k when k == ctrl.active -> ()
@@ -291,9 +344,9 @@ let switch_gains ctrl label =
       | Some gram ->
           let m = ctrl.m and p = ctrl.p in
           let z = ctrl.z and cm = ctrl.cm in
-          let kz_old = ctrl.active.kkz and kz = k.kkz in
+          let kz_old = ctrl.active.kkz and kz = k.kz_dense in
           for i = 0 to m - 1 do
-            cm.(i) <- row_dot kz_old ~cols:p i z
+            cm.(i) <- row_dot kz_old i z
           done;
           (* z ← Kz_newᵀ · cm, then solved in place *)
           for i = 0 to p - 1 do
@@ -308,7 +361,7 @@ let switch_gains ctrl label =
       ctrl.active <- k
 
 let current_gains ctrl = ctrl.active.gains.Lqg.label
-let available_gains ctrl = List.map fst ctrl.kernels
+let available_gains ctrl = List.map fst ctrl.kernels.sets
 
 let set_reference ctrl ~index value =
   if index < 0 || index >= Array.length ctrl.refs then
@@ -364,7 +417,7 @@ let snapshot ctrl =
 
 let restore ctrl s =
   let k =
-    match List.assoc_opt s.snap_active ctrl.kernels with
+    match List.assoc_opt s.snap_active ctrl.kernels.sets with
     | Some k -> k
     | None ->
         invalid_arg

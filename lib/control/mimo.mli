@@ -26,6 +26,24 @@ val channel :
 (** Channel with defaults: offset 0, scale 1, unbounded limits.  Raises
     [Invalid_argument] when [scale = 0] or [min > max]. *)
 
+type kernels
+(** Gain sets compiled for the control period: validated together, each
+    matrix of the control law (A, B, C, L, Kx, Kz) stored as zero-free
+    compressed sparse rows, and the bumpless-transfer Gram matrix of
+    each set factored.  Immutable and shareable across controllers and
+    domains: compile once per design and build every controller of that
+    design from the same value ([Design_flow] memoizes it next to the
+    designed gains). *)
+
+val compile : Lqg.gains list -> kernels
+(** Compile predesigned gain sets (§3.2: "computing control parameters
+    for different policies offline").  Raises [Invalid_argument] when
+    the list is empty, labels are duplicated, or any gain set disagrees
+    on (m, p, n) or has a matrix of the wrong shape. *)
+
+val gains : kernels -> Lqg.gains list
+(** The gain sets [kernels] was compiled from (the very list). *)
+
 type t
 (** Mutable controller instance. *)
 
@@ -49,16 +67,35 @@ val create :
     to the clamp, sustaining a maximal command, and unwind in a bounded
     number of periods afterwards.
 
-    Raises [Invalid_argument] when labels are duplicated, [initial] is
-    unknown, any gain set disagrees on (m, p, n), array lengths are
+    [create ~gains] is [of_kernels (compile gains)], with errors
+    reported as [Mimo.create]: it raises [Invalid_argument] on anything
+    {!compile} rejects, or when [initial] is unknown, array lengths are
     inconsistent, or [z_clamp <= 0]. *)
+
+val of_kernels :
+  ?z_clamp:float ->
+  kernels ->
+  initial:string ->
+  inputs:channel array ->
+  outputs:channel array ->
+  refs:float array ->
+  unit ->
+  t
+(** {!create} over already-compiled gain sets: the controller shares
+    [kernels] read-only and allocates only its own state and scratch. *)
+
+val kernels : t -> kernels
+(** The compiled gain sets the controller runs on. *)
 
 val step_into : t -> measured:float array -> dst:float array -> unit
 (** One control period: consume the physical measurements (length p) and
     write the physical actuator commands, saturated to the channel
     limits, into a caller-owned buffer (length m).  Mirrors the 50 ms
-    daemon invocation of §5.  Every intermediate of the control law
-    lands in scratch preallocated at {!create}, so a steady-state
+    daemon invocation of §5.  The six matrix–vector products run over
+    the compiled sparse rows of {!kernels} with no branch in the loop,
+    bit-identical to [Matrix.mul]'s zero-skipping accumulation (same
+    terms, same order, from [+0.]).  Every intermediate of the control
+    law lands in scratch preallocated at {!create}, so a steady-state
     invocation allocates nothing.  [dst] must not alias [measured]. *)
 
 val switch_gains : t -> string -> unit
@@ -66,7 +103,7 @@ val switch_gains : t -> string -> unit
     Controller state (estimate and integrators) is preserved, so the
     switch is bumpless and costs O(1) — "changing the coefficient arrays
     at runtime takes effect immediately" (§5.3): the integrators are
-    re-solved against a factorization prepared at {!create}, without
+    re-solved against a factorization prepared at {!compile}, without
     allocating.  Raises [Invalid_argument] on an unknown label. *)
 
 val current_gains : t -> string

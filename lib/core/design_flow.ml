@@ -337,22 +337,21 @@ let design_gains ?r_u ident goals =
 (* Gain design is a pure function of the identified model and the goal
    weights, and the identified model is itself memoized on
    (subsystem, seed, length, order) — so the designed gain sets can be
-   memoized on the union of both keys.  This is what makes batch
+   memoized on the union of both keys, and compiled for the control
+   period ({!Mimo.compile}) right there.  This is what makes batch
    harnesses cheap: the first manager of a variant pays the ~200 ms
-   LQG/robustness pipeline, every later construction (each scenario
-   cell, each parallel bench task) reuses the identical gain list.  The
-   cached [Lqg.gains] are shared read-only, exactly like the cached
+   LQG/robustness pipeline and the compilation, every later construction
+   (each scenario cell, each parallel bench task) reuses the identical
+   compiled kernels.  They are shared read-only, exactly like the cached
    identification record. *)
 let design_cache :
     ( subsystem * int64 * int * int * (string * float array) list
       * float array option,
-      (Lqg.gains list, string) result )
+      (Mimo.kernels, string) result )
     Spectr_exec.Single_flight.t =
   Spectr_exec.Single_flight.create ~size:16 ()
 
-let design_gains_for ?r_u ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
-    goals =
-  let ident = identify ~seed ~length ~order subsystem in
+let design_kernels ?r_u ~seed ~length ~order subsystem ident goals =
   Spectr_exec.Single_flight.find_or_compute design_cache
     ~key:
       ( subsystem,
@@ -361,7 +360,22 @@ let design_gains_for ?r_u ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
         order,
         List.map (fun g -> (g.label, g.q_y)) goals,
         r_u )
-    ~compute:(fun () -> design_gains ?r_u ident goals)
+    ~compute:(fun () -> Result.map Mimo.compile (design_gains ?r_u ident goals))
+
+let design_gains_for ?r_u ?(seed = 17L) ?(length = 1200) ?(order = 2) subsystem
+    goals =
+  let ident = identify ~seed ~length ~order subsystem in
+  Result.map Mimo.gains
+    (design_kernels ?r_u ~seed ~length ~order subsystem ident goals)
+
+let leaf_controller ?(seed = 17L) subsystem goals ~initial ~refs =
+  let length = 1200 and order = 2 in
+  let ident = identify ~seed ~length ~order subsystem in
+  Result.map
+    (fun ks ->
+      Mimo.of_kernels ks ~initial ~inputs:ident.input_channels
+        ~outputs:ident.output_channels ~refs ())
+    (design_kernels ~seed ~length ~order subsystem ident goals)
 
 let build_mimo ident ~gains ~initial ~refs =
   Mimo.create ~gains ~initial ~inputs:ident.input_channels

@@ -101,7 +101,23 @@ val design_gains_for :
     per process and shared read-only afterwards — the first manager of a
     variant pays the LQG/robustness pipeline, every later construction
     (chaos cells, batch bench arenas) gets the identical list back.
-    Defaults match {!identify}. *)
+    The memo holds the gain sets compiled for the control period; this
+    returns their {!Mimo.gains}.  Defaults match {!identify}. *)
+
+val leaf_controller :
+  ?seed:int64 ->
+  subsystem ->
+  goal list ->
+  initial:string ->
+  refs:float array ->
+  (Mimo.t, string) result
+(** The runtime leaf controller of a subsystem as every manager builds
+    it: {!identify} with [seed] (default 17) and the default length and
+    order, the gain sets of [goals] from the {!design_gains_for} memo —
+    compiled ({!Mimo.compile}) once per key, when they are designed —
+    and a fresh {!Mimo.of_kernels} controller over those shared kernels
+    starting in mode [initial] at references [refs].  A warm call
+    compiles nothing: the controller shares the memoized kernels. *)
 
 val build_mimo :
   identified -> gains:Lqg.gains list -> initial:string -> refs:float array -> Mimo.t

@@ -2,17 +2,14 @@ open Spectr_control
 open Spectr_platform
 
 let make ?(seed = 17L) () =
-  let ident = Design_flow.identify ~seed Design_flow.Fs_4x2 in
-  let gains =
-    match
-      Design_flow.design_gains_for ~seed Design_flow.Fs_4x2
-        [ { Design_flow.label = "power"; q_y = [| 0.1; 30. |] } ]
-    with
-    | Ok g -> g
-    | Error msg -> failwith ("Fs: " ^ msg)
-  in
   let ctrl =
-    Design_flow.build_mimo ident ~gains ~initial:"power" ~refs:[| 60.; 5. |]
+    match
+      Design_flow.leaf_controller ~seed Design_flow.Fs_4x2
+        [ { Design_flow.label = "power"; q_y = [| 0.1; 30. |] } ]
+        ~initial:"power" ~refs:[| 60.; 5. |]
+    with
+    | Ok c -> c
+    | Error msg -> failwith ("Fs: " ^ msg)
   in
   let meas = [| 0.; 0. |] and u = [| 0.; 0.; 0.; 0. |] in
   let step ~now:_ ~qos_ref ~envelope ~obs soc =

@@ -5,18 +5,14 @@ let qos_weights = [| 30.; 0.1 |]
 let power_weights = [| 0.1; 30. |]
 let little_power_budget = 0.45
 
-let design_or_fail ~seed subsystem goals =
-  match Design_flow.design_gains_for ~seed subsystem goals with
-  | Ok gains -> gains
+let controller_or_fail ~seed subsystem goals ~initial ~refs =
+  match Design_flow.leaf_controller ~seed subsystem goals ~initial ~refs with
+  | Ok ctrl -> ctrl
   | Error msg -> failwith ("Mm: " ^ msg)
 
 let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
-  let subsystem_for i = Design_flow.cluster_subsystem platform i in
-  let idents =
-    Array.init k (fun i -> Design_flow.identify ~seed (subsystem_for i))
-  in
   let goals =
     [
       { Design_flow.label = "qos"; q_y = qos_weights };
@@ -34,9 +30,9 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
   in
   let ctrls =
     Array.init k (fun i ->
-        Design_flow.build_mimo idents.(i)
-          ~gains:(design_or_fail ~seed (subsystem_for i) goals)
-          ~initial:label ~refs:(refs_for i))
+        controller_or_fail ~seed
+          (Design_flow.cluster_subsystem platform i)
+          goals ~initial:label ~refs:(refs_for i))
   in
   (* The fixed budget split: each secondary cluster gets its static
      budget; the host is offered what the envelope leaves. *)

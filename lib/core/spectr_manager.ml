@@ -9,9 +9,11 @@ let c_act_mismatch = Obs.Counters.counter "guard.actuation_mismatches"
 let c_reconfigs = Obs.Counters.counter "manager.reconfigurations"
 let c_swap_ticks = Obs.Counters.counter "manager.swap_window_ticks"
 
-let design_or_fail ~seed subsystem goals =
-  match Design_flow.design_gains_for ~seed subsystem goals with
-  | Ok gains -> gains
+let controller_or_fail ~seed subsystem goals ~refs =
+  match
+    Design_flow.leaf_controller ~seed subsystem goals ~initial:"qos" ~refs
+  with
+  | Ok ctrl -> ctrl
   | Error msg -> failwith ("Spectr_manager: " ^ msg)
 
 module Reconfig = struct
@@ -105,10 +107,6 @@ let ladder ~who ~seed ~supervisor_divisor ~gain_scheduling ~swap_ticks
     | None, Some _ -> Some (Guarded.create ~clusters:k0 ())
     | g, _ -> g
   in
-  let subsystem_for i = Design_flow.cluster_subsystem platform i in
-  let idents =
-    Array.init k0 (fun i -> Design_flow.identify ~seed (subsystem_for i))
-  in
   let goals =
     [
       { Design_flow.label = "qos"; q_y = Mm.qos_weights };
@@ -122,9 +120,9 @@ let ladder ~who ~seed ~supervisor_divisor ~gain_scheduling ~swap_ticks
   let ctrls =
     ref
       (Array.init k0 (fun i ->
-           Design_flow.build_mimo idents.(i)
-             ~gains:(design_or_fail ~seed (subsystem_for i) goals)
-             ~initial:"qos" ~refs:(refs_for i)))
+           controller_or_fail ~seed
+             (Design_flow.cluster_subsystem platform i)
+             goals ~refs:(refs_for i)))
   in
   (* The command closures index through the shared [ctrls] cell, so the
      one closure pair installed at boot keeps working across supervisor

@@ -61,6 +61,30 @@ let default_config =
     min_capped_dwell = 10;
   }
 
+(* The verified automaton compiled for the runtime engine: a dense
+   transition table, [next.(s * width + eid)] the successor of state [s]
+   under event id [eid] or [-1] when the supervisor disables it, [width]
+   one past the largest event id of any transition. *)
+type table = { width : int; next : int array }
+
+let compile auto =
+  let n = Automaton.num_states auto in
+  let width = ref 0 in
+  for s = 0 to n - 1 do
+    Automaton.iter_row auto s (fun eid _ -> width := max !width (eid + 1))
+  done;
+  let width = !width in
+  let next = Array.make (n * width) (-1) in
+  for s = 0 to n - 1 do
+    Automaton.iter_row auto s (fun eid d -> next.((s * width) + eid) <- d)
+  done;
+  { width; next }
+
+let table_width tb = tb.width
+
+let[@inline] table_next tb s eid =
+  if eid >= 0 && eid < tb.width then tb.next.((s * tb.width) + eid) else -1
+
 let synthesize ?(platform = Platform_desc.exynos5422) () =
   let plant = Plant_model.composed_for platform in
   (* Memoized: every scenario constructs its managers from scratch (a
@@ -84,6 +108,21 @@ let synthesize ?(platform = Platform_desc.exynos5422) () =
             ("Supervisor.synthesize: uncontrollable at " ^ w.Verify.plant_state));
       (sup, stats)
 
+(* Compiled tables, per platform digest — one per description, like the
+   synthesis memo [synthesize] hits.  An entry serves only the very
+   automaton it was compiled from, which the synthesis cache hands back
+   on every hit. *)
+let tables : (string, Automaton.t * table) Spectr_exec.Single_flight.t =
+  Spectr_exec.Single_flight.create ~size:16 ()
+
+let compiled platform auto =
+  let from, table =
+    Spectr_exec.Single_flight.find_or_compute tables
+      ~key:(Platform_desc.digest platform)
+      ~compute:(fun () -> (auto, compile auto))
+  in
+  if from == auto then table else compile auto
+
 (* The budget clamps' bounds, in a record of floats only: OCaml stores
    it flat, so a clamp reads them unboxed.  (Clamping with a boxed config
    field would hand back that box or box the computed value.) *)
@@ -95,6 +134,7 @@ type t = {
   commands : commands;
   platform : Platform_desc.t;
   auto : Automaton.t;
+  table : table; (* [auto] compiled; the tick path reads only this *)
   stats : Synthesis.stats;
   k : int; (* cluster count *)
   host : int; (* host-cluster index *)
@@ -116,6 +156,7 @@ let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
     ~commands ~envelope () =
   if envelope <= 0. then invalid_arg "Supervisor.create: envelope <= 0";
   let auto, stats = synthesize ~platform () in
+  let table = compiled platform auto in
   let fam = Events.for_platform platform in
   let k = Platform_desc.num_clusters platform in
   let host = Platform_desc.host platform in
@@ -136,6 +177,7 @@ let create ?(config = default_config) ?(platform = Platform_desc.exynos5422)
     commands;
     platform;
     auto;
+    table;
     stats;
     k;
     host;
@@ -166,6 +208,7 @@ let power_ref t i =
 
 let synthesis_stats t = t.stats
 let automaton t = t.auto
+let table t = t.table
 
 type snapshot = {
   snap_state : int;
@@ -212,9 +255,9 @@ let restore t s =
 
 (* The runtime engine works purely in event-id space: the global ids
    below are interned once at module load (per-cluster command ids live
-   in [t], filled at creation), and every per-step automaton query is an
-   int binary search ({!Automaton.step_index_raw}) — no event lists, no
-   options, no string comparisons on the tick path. *)
+   in [t], filled at creation), and every per-step automaton query is
+   one read of the compiled transition table — no event lists, no
+   options, no string comparisons, no search on the tick path. *)
 let id_critical = Event.id Events.critical
 let id_above_target = Event.id Events.above_target
 let id_below_target = Event.id Events.below_target
@@ -229,10 +272,12 @@ let id_decrease_critical_power = Event.id Events.decrease_critical_power
 let id_control_power = Event.id Events.control_power
 let id_hold_budget = Event.id Events.hold_budget
 
+let[@inline] next_state t eid = table_next t.table t.current eid
+
 (* Is [eid] enabled in the current supervisor state?  All candidates the
    policy probes are controllable by construction, so no
    controllability filter is needed. *)
-let[@inline] has t eid = Automaton.step_index_raw t.auto t.current eid >= 0
+let[@inline] has t eid = next_state t eid >= 0
 
 (* The cluster budgets must jointly respect the envelope: the host
    budget is clamped to what the secondary allocations leave.  The
@@ -344,7 +389,7 @@ let execute t eid =
    end
    else if execute_cluster t eid then ()
    else () (* holdBudget and anything unknown: state step only *));
-  let next = Automaton.step_index_raw t.auto t.current eid in
+  let next = next_state t eid in
   if next >= 0 then t.current <- next
 (* execute is only called on enabled events, so next >= 0 in practice *)
 
@@ -380,7 +425,7 @@ let first_secondary_decrease t =
 (* The budget policy: among the controllable events the supervisor leaves
    enabled in the current state, pick the most useful one.  Returns the
    event id, or [-1] when no enabled controllable remains.  Each [has]
-   probe is one binary search of the current CSR row. *)
+   probe is one read of the compiled table. *)
 let choose_action t =
   let c = t.config in
   let qos_surplus = t.last.qos -. (t.last.qos_ref *. (1. +. c.qos_tolerance)) in
@@ -421,7 +466,7 @@ let run_controllables t =
 
 (* Feed one uncontrollable event if the supervisor defines it here. *)
 let feed t eid =
-  let next = Automaton.step_index_raw t.auto t.current eid in
+  let next = next_state t eid in
   if next >= 0 then begin
     Obs.Counters.incr c_observed;
     if Obs.enabled () then

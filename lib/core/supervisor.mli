@@ -93,7 +93,8 @@ val create :
   t
 (** A runtime supervisor starting in QoS mode with the host budget at
     [envelope] minus the secondary floor and every secondary budget at
-    0.3 W.  Synthesis runs once per {!create} (memoized per platform).
+    0.3 W.  Synthesis and the table compilation run once per platform
+    description; a warm {!create} reuses both.
     Raises [Invalid_argument] when [envelope <= 0]. *)
 
 val step :
@@ -117,9 +118,9 @@ val state : t -> string
     — the plant component ["Eval.Safe"] is itself a product state, so
     its inner dot is escaped; see
     {!Spectr_automata.Automaton.product_state_name}).  Internally the
-    engine tracks the state as an index and steps with
-    {!Spectr_automata.Automaton.step_index}; this accessor is the only
-    point where the index is translated back to a name. *)
+    engine tracks the state as an index and steps on the compiled
+    {!table}; this accessor is the only point where the index is
+    translated back to a name. *)
 
 val gains_mode : t -> string
 (** ["qos"] or ["power"]. *)
@@ -134,6 +135,32 @@ val power_ref : t -> int -> float
 
 val synthesis_stats : t -> Synthesis.stats
 val automaton : t -> Automaton.t
+
+(** {1 Compiled transition table}
+
+    The runtime engine never searches the automaton: the verified
+    supervisor is compiled once into a dense table with one row per
+    state and one column per event id up to the largest id it uses, and
+    every enabledness probe and step of {!step} is one bounds-checked
+    read of it.  The table is memoized per platform description, next
+    to the synthesis-cache hit in {!create}, so every supervisor of a
+    description shares one. *)
+
+type table
+
+val table : t -> table
+(** The compiled form of {!automaton} this engine steps on. *)
+
+val table_width : table -> int
+(** One past the largest event id of any transition. *)
+
+val table_next : table -> int -> int -> int
+(** [table_next tb s eid] is the successor of state index [s] under
+    event id [eid], or [-1] when the supervisor disables [eid] in [s] —
+    always equal to {!Spectr_automata.Automaton.step_index_raw} on the
+    automaton, including for ids outside [0, table_width) (which read as
+    [-1]).  [s] must index a state of the automaton: a read outside the
+    table raises [Invalid_argument]. *)
 
 (** {1 Checkpoint/restore}
 

@@ -83,8 +83,8 @@ val data : t -> float array
     vector is just indices [0..rows-1]).  The escape hatch for
     zero-allocation kernels that read elements in a loop — [get]/[init]
     are cross-module calls whose boxed float returns the tick path
-    cannot afford ({!Spectr_control.Mimo.step_into} reads its gain
-    matrices this way).  Writes alias the matrix; mutate with care. *)
+    cannot afford ({!Spectr_control.Mimo.compile} reads gain matrices
+    this way).  Writes alias the matrix; mutate with care. *)
 
 val hcat : t -> t -> t
 (** Horizontal concatenation [\[a b\]]. *)

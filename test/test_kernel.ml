@@ -109,6 +109,48 @@ let test_supervisor_step_zero_alloc () =
     (Printf.sprintf "Supervisor.step, constant inputs: %.3f B/call" per_iter)
     true (per_iter < 1.0)
 
+(* Construction, warm: identification, gain design and supervisor
+   synthesis are memoized, and so are the compiled forms the tick runs
+   on (the leaf controllers' sparse gain kernels, the supervisor's
+   transition table), so a second SPECTR manager allocates only its own
+   state.  The budget is what this test measured on exynos5422 before
+   the compiled forms were memoized, 26,416 minor bytes, so it can only
+   go down. *)
+let warm_make_budget_b = 26_416.
+
+let test_warm_make_alloc () =
+  let platform = Platform_desc.exynos5422 in
+  let _, sup1 = Spectr.Spectr_manager.make ~platform () in
+  let w0 = Gc.minor_words () in
+  let _, sup2 = Spectr.Spectr_manager.make ~platform () in
+  let w1 = Gc.minor_words () in
+  let bytes = (w1 -. w0) *. float_of_int (Sys.word_size / 8) in
+  if bytes > warm_make_budget_b then
+    Alcotest.failf "warm Spectr_manager.make: %.0f minor bytes (budget %.0f)"
+      bytes warm_make_budget_b;
+  (* Reuse, not rebuild: both supervisors step on one table, and the
+     leaf controllers a manager builds share one set of kernels. *)
+  check_bool "supervisor table shared" true
+    (Spectr.Supervisor.table sup1 == Spectr.Supervisor.table sup2);
+  let goals =
+    [
+      { Spectr.Design_flow.label = "qos"; q_y = Spectr.Mm.qos_weights };
+      { Spectr.Design_flow.label = "power"; q_y = Spectr.Mm.power_weights };
+    ]
+  in
+  let leaf () =
+    match
+      Spectr.Design_flow.leaf_controller
+        (Spectr.Design_flow.cluster_subsystem platform 0)
+        goals ~initial:"qos" ~refs:[| 60.; 4. |]
+    with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let c1 = leaf () and c2 = leaf () in
+  check_bool "gain kernels shared" true (Mimo.kernels c1 == Mimo.kernels c2);
+  check_bool "controller state private" true (c1 != c2)
+
 (* The three rung sets of the manager ladder, one builder each. *)
 let spectr platform () = fst (Spectr.Spectr_manager.make ~platform ())
 
@@ -692,6 +734,68 @@ let test_fused_kernel_matches_naive () =
     kernel_case seed
   done
 
+(* The supervisor's compiled transition table must answer exactly what
+   the automaton's CSR search answers: every state, every event id of
+   the table, and ids on both sides of it (negative, and past the
+   width).  Checked on the built-in shapes and on the degraded
+   descriptions SPECTR+R re-synthesizes for. *)
+let test_supervisor_table_agrees () =
+  let commands =
+    {
+      Spectr.Supervisor.switch_gains = (fun _ -> ());
+      set_power_ref = (fun _ _ -> ());
+    }
+  in
+  let pixel = Platform_desc.pixel8pro in
+  let host = Platform_desc.host pixel in
+  let secondary = if host = 0 then 1 else 0 in
+  let platforms =
+    [
+      Platform_desc.exynos5422;
+      pixel;
+      Platform_desc.k_cluster 4;
+      Platform_desc.degrade pixel (Platform_desc.Remove_cluster secondary);
+      Platform_desc.degrade pixel
+        (Platform_desc.Pin_opp
+           {
+             cluster = secondary;
+             freq_mhz = 1000;
+           });
+    ]
+  in
+  List.iter
+    (fun platform ->
+      let sup = Spectr.Supervisor.create ~commands ~platform ~envelope:5.0 () in
+      let auto = Spectr.Supervisor.automaton sup in
+      let tb = Spectr.Supervisor.table sup in
+      let width = Spectr.Supervisor.table_width tb in
+      (* Past the table and past every id of the alphabet. *)
+      let top =
+        Spectr_automata.Event.Set.fold
+          (fun e acc -> max acc (Spectr_automata.Event.id e))
+          (Spectr_automata.Automaton.alphabet auto)
+          width
+        + 3
+      in
+      let disagreements = ref 0 in
+      for st = 0 to Spectr_automata.Automaton.num_states auto - 1 do
+        for eid = -3 to top do
+          if
+            Spectr.Supervisor.table_next tb st eid
+            <> Spectr_automata.Automaton.step_index_raw auto st eid
+          then incr disagreements
+        done
+      done;
+      check_int (Platform_desc.name platform ^ ": disagreements") 0
+        !disagreements;
+      (* A warm create steps on the very table the first one compiled. *)
+      let again = Spectr.Supervisor.create ~commands ~platform ~envelope:5.0 () in
+      check_bool
+        (Platform_desc.name platform ^ ": table memoized")
+        true
+        (Spectr.Supervisor.table again == tb))
+    platforms
+
 (* ------------------------------------------------------------------ *)
 (* Power-threshold boundaries: metrics 1.02 vs invariants 1.05         *)
 (* ------------------------------------------------------------------ *)
@@ -837,6 +941,8 @@ let () =
             (zero_alloc_ticks ("SPECTR+G", spectr_g));
           Alcotest.test_case "Scenario.tick SPECTR+R 0 B/tick" `Quick
             (zero_alloc_ticks ("SPECTR+R", spectr_r));
+          Alcotest.test_case "warm Spectr_manager.make" `Quick
+            test_warm_make_alloc;
         ] );
       ( "byte-identity",
         [
@@ -862,6 +968,8 @@ let () =
         [
           Alcotest.test_case "fused kernel = naive reference" `Quick
             test_fused_kernel_matches_naive;
+          Alcotest.test_case "supervisor table = step_index_raw" `Quick
+            test_supervisor_table_agrees;
         ] );
       ( "thresholds",
         [
