@@ -16,9 +16,12 @@
    passes rather than just copying the product through.
 
    Timings — wall-clock seconds on the monotonic clock — go to a table
-   on stdout in the normal mode.  In --smoke mode (CI) only the smallest
-   grid row runs and no timings are printed, so the output is
-   deterministic and shape-checkable. *)
+   on stdout in the normal mode, where the parallel column runs one job
+   per domain the host offers ([Domain.recommended_domain_count]) and is
+   also reported as speedup and efficiency against the one-job run.  In
+   --smoke mode (CI) only the smallest grid row runs, the parallel column
+   runs 4 jobs and no timings are printed, so the output is deterministic
+   and shape-checkable. *)
 
 open Spectr_automata
 
@@ -71,13 +74,26 @@ let budget_spec ~k ~cap =
 
 let grid () = if !smoke then [ (4, 3) ] else [ (4, 3); (6, 5); (8, 7); (10, 9) ]
 
+(* Speedup and efficiency (speedup per job) of a [jobs]-job run against
+   the one-job run, from their wall-clock seconds. *)
+let print_scaling ~jobs t1 tn =
+  let speedup = t1 /. tn in
+  Printf.printf " %9.2f %9.2f" speedup (speedup /. float_of_int jobs)
+
 let run () =
+  (* The parallel column: 4 jobs under --smoke, whose output must not
+     depend on the host; otherwise one job per domain the host offers. *)
+  let jobs = if !smoke then 4 else Domain.recommended_domain_count () in
+  let par_s = Printf.sprintf "par%d-s" jobs in
   Util.heading
     "Synthesis scale: k chained cluster plants vs. a shared budget spec";
+  if not !smoke then
+    Printf.printf "\n  %d domains (Domain.recommended_domain_count)" jobs;
   Printf.printf "\n  %3s %4s %9s %9s %9s" "k" "cap" "plant-Q" "product-Q"
     "sup-Q";
   if not !smoke then
-    Printf.printf " %9s %9s %9s %9s" "compose-s" "par1-s" "par4-s" "verify-s";
+    Printf.printf " %9s %9s %9s %9s %9s %9s" "compose-s" "par1-s" par_s
+      "speedup" "effic" "verify-s";
   print_newline ();
   List.iter
     (fun (k, cap) ->
@@ -88,18 +104,18 @@ let run () =
         Util.timed (fun () -> Synthesis.supcon_par ~jobs ~plant ~spec ())
       in
       let par1, t_par1 = par 1 in
-      let par4, t_par4 = par 4 in
-      match (par1, par4) with
+      let parn, t_parn = par jobs in
+      match (par1, parn) with
       | Error _, _ | _, Error _ ->
           failwith "synthesis-scale: unexpectedly empty supervisor"
-      | Ok (sup, stats), Ok (sup4, stats4) ->
+      | Ok (sup, stats), Ok (supn, statsn) ->
           (* The engine is deterministic in its job count: digest and
              stats equality gate every row. *)
           if
-            Automaton.structural_digest sup4
+            Automaton.structural_digest supn
             <> Automaton.structural_digest sup
           then failwith "synthesis-scale: supcon_par digest depends on jobs";
-          if stats4 <> stats then
+          if statsn <> stats then
             failwith "synthesis-scale: supcon_par stats depend on jobs";
           let checks, t_verify =
             Util.timed (fun () ->
@@ -117,9 +133,11 @@ let run () =
           Printf.printf "  %3d %4d %9d %9d %9d" k cap
             (Automaton.num_states plant)
             stats.Synthesis.product_states (Automaton.num_states sup);
-          if not !smoke then
-            Printf.printf " %9.3f %9.3f %9.3f %9.3f" t_compose t_par1 t_par4
-              t_verify;
+          if not !smoke then begin
+            Printf.printf " %9.3f %9.3f %9.3f" t_compose t_par1 t_parn;
+            print_scaling ~jobs t_par1 t_parn;
+            Printf.printf " %9.3f" t_verify
+          end;
           print_newline ())
     (grid ());
   (* Modular synthesis: the plant components and the spec composed
@@ -168,26 +186,28 @@ let run () =
     | _ -> failwith "synthesis-scale: mid-size modular row empty")
   end
   else begin
-    Printf.printf "  %3s %4s %9s %9s %9s %9s\n" "k" "cap" "product-Q" "sup-Q"
-      "par1-s" "par4-s";
+    Printf.printf "  %3s %4s %9s %9s %9s %9s %9s %9s\n" "k" "cap" "product-Q"
+      "sup-Q" "par1-s" par_s "speedup" "effic";
     List.iter
       (fun (k, cap) ->
         let plants = List.init k (fun i -> cluster (i + 1)) in
         let spec = budget_spec ~k ~cap in
         let run jobs = Synthesis.supcon_modular ~jobs ~plants ~spec () in
         let r1, t1 = Util.timed (fun () -> run 1) in
-        let r4, t4 = Util.timed (fun () -> run 4) in
-        match (r1, r4) with
-        | Ok (s1, st1), Ok (s4, st4) ->
+        let rn, tn = Util.timed (fun () -> run jobs) in
+        match (r1, rn) with
+        | Ok (s1, st1), Ok (sn, stn) ->
             if
-              Automaton.structural_digest s1 <> Automaton.structural_digest s4
+              Automaton.structural_digest s1 <> Automaton.structural_digest sn
             then failwith "synthesis-scale: modular digest depends on jobs";
-            if st1 <> st4 then
+            if st1 <> stn then
               failwith "synthesis-scale: modular stats depend on jobs";
             if not (Verify.is_nonblocking s1) then
               failwith "synthesis-scale: modular supervisor blocks";
-            Printf.printf "  %3d %4d %9d %9d %9.3f %9.3f\n" k cap
-              st1.Synthesis.product_states (Automaton.num_states s1) t1 t4
+            Printf.printf "  %3d %4d %9d %9d %9.3f %9.3f" k cap
+              st1.Synthesis.product_states (Automaton.num_states s1) t1 tn;
+            print_scaling ~jobs t1 tn;
+            print_newline ()
         | _ -> failwith "synthesis-scale: modular unexpectedly empty")
       [ (12, 9); (14, 7); (16, 6) ]
   end;

@@ -173,17 +173,23 @@ let make_csr_arrays ~who ~describe n ~src ~event ~target =
     dst.(p) <- target.(k);
     cursor.(s) <- p + 1
   done;
-  (* Sort each row by event id (rows are short; extract-sort-writeback). *)
+  (* Sort each row in place by (event id, target) — insertion sort over
+     the parallel int arrays: rows are short, often already in order, and
+     nothing is boxed or compared polymorphically. *)
   for s = 0 to n - 1 do
     let lo = row.(s) and hi = row.(s + 1) in
     if hi - lo > 1 then begin
-      let pairs = Array.init (hi - lo) (fun k -> (ev.(lo + k), dst.(lo + k))) in
-      Array.sort compare pairs;
-      Array.iteri
-        (fun k (e, d) ->
-          ev.(lo + k) <- e;
-          dst.(lo + k) <- d)
-        pairs;
+      for k = lo + 1 to hi - 1 do
+        let e = ev.(k) and d = dst.(k) in
+        let j = ref (k - 1) in
+        while !j >= lo && (ev.(!j) > e || (ev.(!j) = e && dst.(!j) > d)) do
+          ev.(!j + 1) <- ev.(!j);
+          dst.(!j + 1) <- dst.(!j);
+          decr j
+        done;
+        ev.(!j + 1) <- e;
+        dst.(!j + 1) <- d
+      done;
       for k = lo to hi - 2 do
         if ev.(k) = ev.(k + 1) then
           invalid_arg
@@ -498,6 +504,23 @@ let structural_digest a =
   match a.digest with
   | Some d -> d
   | None ->
+      (* Each transition is encoded "<src>,<len>:<event name><dst>": the
+         decimal of every state and the length-prefixed name of every
+         event id are built once per automaton, and the transition loop
+         walks the CSR arrays with no per-transition conversion.  The
+         buffer grows by doubling on purpose: an exactly presized one
+         allocates less, which slows the major GC's pace enough to raise
+         the synthesis benchmark's peak heap by about 1 MB. *)
+      let dec = Array.init a.n string_of_int in
+      let max_id =
+        Event.Set.fold (fun e m -> max m (Event.id e)) a.alphabet (-1)
+      in
+      let token = Array.make (max_id + 1) "" in
+      Event.Set.iter
+        (fun e ->
+          let s = Event.name e in
+          token.(Event.id e) <- string_of_int (String.length s) ^ ":" ^ s)
+        a.alphabet;
       let b = Buffer.create 1024 in
       (* Length-prefixed fields so adjacent strings cannot run together. *)
       let add s =
@@ -512,18 +535,23 @@ let structural_digest a =
       Buffer.add_string b (string_of_int a.initial);
       Event.Set.iter
         (fun e ->
-          add (Event.name e);
+          Buffer.add_string b token.(Event.id e);
           Buffer.add_char b (if Event.is_controllable e then 'c' else 'u'))
         a.alphabet;
       (* CSR order: by source index, then event id — deterministic within
          a process (intern order), which is all the in-process cache
          needs. *)
       for s = 0 to a.n - 1 do
-        iter_row a s (fun eid d ->
-            Buffer.add_string b (string_of_int s);
-            Buffer.add_char b ',';
-            add (Event.name (event_of_id a eid));
-            Buffer.add_string b (string_of_int d))
+        let src = dec.(s) in
+        for k = a.row.(s) to a.row.(s + 1) - 1 do
+          let eid = a.ev.(k) in
+          if eid < 0 || eid > max_id || String.length token.(eid) = 0 then
+            ignore (event_of_id a eid) (* raises: not in the alphabet *);
+          Buffer.add_string b src;
+          Buffer.add_char b ',';
+          Buffer.add_string b token.(eid);
+          Buffer.add_string b dec.(a.dst.(k))
+        done
       done;
       Array.iter (fun m -> Buffer.add_char b (if m then '1' else '0')) a.marked;
       Array.iter

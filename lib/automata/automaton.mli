@@ -72,7 +72,9 @@ val of_indexed_arrays :
     run — once, memoized — when a name-based accessor is first used.
 
     Unlike {!create} it performs no string interning and no state
-    collection, only a cheap nondeterminism scan after the CSR sort.  The
+    collection, only a cheap nondeterminism scan after the CSR sort (an
+    in-place insertion sort of each row's int arrays by event id, then
+    target).  The
     caller contract (who may call it: {!Compose}, {!Synthesis},
     {!restrict_indices} — outputs that are deterministic and consistently
     indexed {e by construction}):
@@ -227,7 +229,10 @@ val structural_digest : t -> string
     {e id}), so the digest is deterministic within a process — which is
     what the in-process cache needs — but not across processes, where
     intern order may differ.  Cached after the first call; forces the
-    name table. *)
+    name table.  The per-transition encoding reuses tokens built once
+    per call (each state's decimal, each event's length-prefixed name),
+    and an event id outside the alphabet raises [Invalid_argument] as
+    {!event_of_id} does. *)
 
 (** {1 Comparison} *)
 

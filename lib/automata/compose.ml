@@ -22,40 +22,43 @@ let pair a b =
   let in_b = Array.make (max_id + 1) false in
   Event.Set.iter (fun e -> in_a.(Event.id e) <- true) sigma_a;
   Event.Set.iter (fun e -> in_b.(Event.id e) <- true) sigma_b;
-  let nb = Automaton.num_states b in
-  let seen : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let na = Automaton.num_states a and nb = Automaton.num_states b in
+  (* Product state [i] is the pair ([pa.(i)], [pb.(i)]); the seen table
+     maps a pair's key to [i].  Pairs are numbered in discovery order and
+     the BFS walks them by index, so [pa]/[pb] are also the queue.  Small
+     operands get a small table: a product has at most [na * nb] states. *)
+  let seen = Inttbl.create ~capacity:(min 4096 (2 * na * nb)) () in
   let pa = Intvec.create () and pb = Intvec.create () in
   let tsrc = Intvec.create () and tev = Intvec.create () in
   let tdst = Intvec.create () in
-  let queue = Queue.create () in
   let visit ia ib =
-    let key = (ia * nb) + ib in
-    match Hashtbl.find_opt seen key with
-    | Some i -> i
-    | None ->
-        let i = Intvec.length pa in
-        Hashtbl.add seen key i;
+    let i = Intvec.length pa in
+    match Inttbl.put seen ((ia * nb) + ib) i with
+    | -1 ->
         Intvec.push pa ia;
         Intvec.push pb ib;
-        Queue.push (i, ia, ib) queue;
         i
+    | j -> j
+  in
+  let emit i eid j =
+    Intvec.push tsrc i;
+    Intvec.push tev eid;
+    Intvec.push tdst j
   in
   ignore (visit (Automaton.initial_index a) (Automaton.initial_index b));
-  while not (Queue.is_empty queue) do
-    let i, ia, ib = Queue.pop queue in
-    let emit eid j =
-      Intvec.push tsrc i;
-      Intvec.push tev eid;
-      Intvec.push tdst j
-    in
+  let next = ref 0 in
+  while !next < Intvec.length pa do
+    let i = !next in
+    incr next;
+    let ia = Intvec.get pa i and ib = Intvec.get pb i in
     Automaton.iter_row a ia (fun eid ja ->
         if in_b.(eid) then (
-          match Automaton.step_index b ib eid with
-          | Some jb -> emit eid (visit ja jb)
-          | None -> ())
-        else emit eid (visit ja ib));
+          match Automaton.step_index_raw b ib eid with
+          | -1 -> ()
+          | jb -> emit i eid (visit ja jb))
+        else emit i eid (visit ja ib));
     Automaton.iter_row b ib (fun eid jb ->
-        if not in_a.(eid) then emit eid (visit ia jb))
+        if not in_a.(eid) then emit i eid (visit ia jb))
   done;
   let n = Intvec.length pa in
   let pa = Intvec.to_array pa and pb = Intvec.to_array pb in

@@ -1,6 +1,6 @@
 (* Growable int array — the scratch structure of the index-native
-   algorithms (compose, synthesis), which accumulate transitions and
-   state maps of unknown size without consing a list per element.  The
+   algorithms (compose, verify, synthesis), which accumulate transitions
+   and state maps of unknown size without consing a list per element.  The
    parallel synthesis engine additionally reuses vectors across rounds
    ([clear]) and patches buffered destinations in place ([set]). *)
 

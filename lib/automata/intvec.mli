@@ -1,6 +1,7 @@
 (** Growable int array, used as scratch by the index-native algorithms
-    ({!Compose}, {!Synthesis}) to accumulate transition triples and
-    state maps without consing a list cell per element. *)
+    ({!Compose}, {!Verify}, {!Synthesis}) to accumulate transition
+    triples, state maps and BFS queues without consing a list cell per
+    element. *)
 
 type t
 

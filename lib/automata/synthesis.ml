@@ -123,79 +123,6 @@ let cstep cc i eid =
   done;
   !res
 
-(* Open-addressing int-keyed table (linear probing, power-of-two         *)
-(* capacity): the per-shard state map.  No boxing, no polymorphic hash,  *)
-(* no bucket cells — the [Hashtbl] it replaces allocates a cons per add  *)
-(* and generic-hashes every probe. *)
-type table = {
-  mutable tkeys : int array; (* -1 = empty; keys are >= 0 *)
-  mutable tvals : int array;
-  mutable tmask : int;
-  mutable tcount : int;
-}
-
-let t_create () =
-  { tkeys = Array.make 4096 (-1); tvals = Array.make 4096 0; tmask = 4095; tcount = 0 }
-
-let t_hash key =
-  let h = key lxor (key lsr 31) in
-  let h = h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land max_int
-
-let t_grow t =
-  let old_keys = t.tkeys and old_vals = t.tvals in
-  let cap = 2 * Array.length old_keys in
-  let keys = Array.make cap (-1) and vals = Array.make cap 0 in
-  let mask = cap - 1 in
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        let j = ref (t_hash k land mask) in
-        while keys.(!j) >= 0 do
-          j := (!j + 1) land mask
-        done;
-        keys.(!j) <- k;
-        vals.(!j) <- old_vals.(i)
-      end)
-    old_keys;
-  t.tkeys <- keys;
-  t.tvals <- vals;
-  t.tmask <- mask
-
-(* Insert [key -> v] if absent.  Returns [-1] on a fresh insert, the
-   existing value otherwise (stored values are always >= 0). *)
-let t_put t key v =
-  if 2 * (t.tcount + 1) > Array.length t.tkeys then t_grow t;
-  let mask = t.tmask in
-  let keys = t.tkeys in
-  let j = ref (t_hash key land mask) in
-  let res = ref min_int in
-  while !res = min_int do
-    let k = keys.(!j) in
-    if k = key then res := t.tvals.(!j)
-    else if k < 0 then begin
-      keys.(!j) <- key;
-      t.tvals.(!j) <- v;
-      t.tcount <- t.tcount + 1;
-      res := -1
-    end
-    else j := (!j + 1) land mask
-  done;
-  !res
-
-let t_find t key =
-  let mask = t.tmask in
-  let keys = t.tkeys in
-  let j = ref (t_hash key land mask) in
-  let res = ref (-2) in
-  while !res = -2 do
-    let k = keys.(!j) in
-    if k = key then res := t.tvals.(!j)
-    else if k < 0 then res := -1
-    else j := (!j + 1) land mask
-  done;
-  !res
-
 (* [comps] is the plant components then the spec; [entry] names the
    public function in error contexts. *)
 let supcon_sharded ~entry ~jobs comps =
@@ -275,9 +202,9 @@ let supcon_sharded ~entry ~jobs comps =
     done;
     !k
   in
-  let shard_of key = if jobs = 1 then 0 else t_hash key mod jobs in
+  let shard_of key = if jobs = 1 then 0 else Inttbl.hash key mod jobs in
   (* --- per-shard / per-worker state ---------------------------------- *)
-  let tables = Array.init jobs (fun _ -> t_create ()) in
+  let tables = Array.init jobs (fun _ -> Inttbl.create ()) in
   let skeys = Array.init jobs (fun _ -> Intvec.create ()) in
   let flo = Array.make jobs 0 and fhi = Array.make jobs 0 in
   let outk =
@@ -321,7 +248,7 @@ let supcon_sharded ~entry ~jobs comps =
   let ksrc = ref [||] and kev = ref [||] and kdst = ref [||] in
   (* Seed the initial state into its shard before workers start. *)
   let s0 = shard_of key0 in
-  ignore (t_put tables.(s0) key0 0);
+  ignore (Inttbl.put tables.(s0) key0 0);
   Intvec.push skeys.(s0) key0;
   fhi.(s0) <- 1;
   let worker w b =
@@ -382,7 +309,7 @@ let supcon_sharded ~entry ~jobs comps =
         let q = outk.(v).(w) in
         for x = 0 to Intvec.length q - 1 do
           let key = Intvec.get q x in
-          if t_put tables.(w) key (Intvec.length skeys.(w)) = -1 then
+          if Inttbl.put tables.(w) key (Intvec.length skeys.(w)) = -1 then
             Intvec.push skeys.(w) key
         done;
         Intvec.clear q
@@ -395,7 +322,7 @@ let supcon_sharded ~entry ~jobs comps =
       for k = tbase.(w) to m - 1 do
         let key = Intvec.get btdst.(w) k in
         let s = shard_of key in
-        let l = t_find tables.(s) key in
+        let l = Inttbl.find tables.(s) key in
         Intvec.set btdst.(w) k ((l * jobs) + s)
       done;
       tbase.(w) <- m;
@@ -409,8 +336,7 @@ let supcon_sharded ~entry ~jobs comps =
     (* From here on each phase drops the buffers no worker reads again, so
        they can be collected mid-synthesis: held to the end, they raised
        the peak heap of repeated monolithic syntheses by about 30 %. *)
-    tables.(w).tkeys <- [||];
-    tables.(w).tvals <- [||];
+    Inttbl.release tables.(w);
     (* ---------- phase 2: assembly into one flat CSR ------------------ *)
     if w = 0 then begin
       let off = ref 0 in

@@ -44,26 +44,32 @@ let controllable ~plant ~supervisor =
   Event.Set.iter
     (fun e -> ctrl.(Event.id e) <- Event.is_controllable e)
     alphabet;
+  let ns = Automaton.num_states supervisor in
   let ng = Automaton.num_states plant in
-  let seen = Hashtbl.create 1024 in
-  let queue = Queue.create () in
+  (* Pair [i] is ([ps.(i)], [pg.(i)]), numbered in discovery order; the
+     BFS walks the pairs by index.  A supervisor synthesized for [plant]
+     determines the plant state, so the closed loop has at most [ns]
+     pairs. *)
+  let seen = Inttbl.create ~capacity:(2 * max ns ng) () in
+  let ps = Intvec.create ~capacity:ns () in
+  let pg = Intvec.create ~capacity:ns () in
   let visit is_ ig =
-    let key = (is_ * ng) + ig in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      Queue.push (is_, ig) queue
+    if Inttbl.put seen ((is_ * ng) + ig) 0 = -1 then begin
+      Intvec.push ps is_;
+      Intvec.push pg ig
     end
   in
   visit (Automaton.initial_index supervisor) (Automaton.initial_index plant);
   let witness = ref None in
   (try
-     while not (Queue.is_empty queue) do
-       let is_, ig = Queue.pop queue in
+     let next = ref 0 in
+     while !next < Intvec.length ps do
+       let is_ = Intvec.get ps !next and ig = Intvec.get pg !next in
+       incr next;
        Automaton.iter_row plant ig (fun eid jg ->
            if in_s.(eid) then (
-             match Automaton.step_index supervisor is_ eid with
-             | Some js -> visit js jg
-             | None ->
+             match Automaton.step_index_raw supervisor is_ eid with
+             | -1 ->
                  (* Plant enables it, supervisor's alphabet contains it,
                     supervisor disables it: a violation iff
                     uncontrollable. *)
@@ -77,7 +83,8 @@ let controllable ~plant ~supervisor =
                          event = Automaton.event_of_id plant eid;
                        };
                    raise Exit
-                 end)
+                 end
+             | js -> visit js jg)
            else visit is_ jg);
        Automaton.iter_row supervisor is_ (fun eid js ->
            if not in_g.(eid) then visit js ig)

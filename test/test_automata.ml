@@ -1317,6 +1317,255 @@ let test_compose_all_matches_fold () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Boundary kernels: the CSR row sort, the structural digest and the   *)
+(* shared int table, each pinned to a reference                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The rows the constructor built before its in-place int sort: the
+   transitions bucketed by source in input order, each row then sorted
+   as boxed (event id, target) tuples by polymorphic [compare]. *)
+let tuple_sorted_rows n ~src ~event ~target =
+  Array.init n (fun s ->
+      let row = ref [] in
+      Array.iteri
+        (fun k s' -> if s' = s then row := (event.(k), target.(k)) :: !row)
+        src;
+      let pairs = Array.of_list (List.rev !row) in
+      Array.sort compare pairs;
+      Array.to_list pairs)
+
+let rows_of a =
+  Array.init (Automaton.num_states a) (fun s ->
+      let row = ref [] in
+      Automaton.iter_row a s (fun eid d -> row := (eid, d) :: !row);
+      List.rev !row)
+
+let row_sort_events =
+  Array.init 9 (fun i -> Event.controllable (Printf.sprintf "rs%d" i))
+
+let of_arrays ~name n ~src ~event ~target =
+  Automaton.of_indexed_arrays ~name
+    ~names:(fun () -> Array.init n string_of_int)
+    ~alphabet:(Event.set_of_list (Array.to_list row_sort_events))
+    ~initial:0 ~marked:(Array.make n true) ~forbidden:(Array.make n false)
+    ~src ~event ~target
+
+let test_row_sort_matches_tuple_sort () =
+  for seed = 0 to 199 do
+    let rng = ref ((seed * 2654435761) land 0x3FFFFFFF) in
+    let rand n =
+      rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
+      !rng mod n
+    in
+    let n = 1 + rand 12 in
+    (* Each state enables a random subset of the events (rows of 0 to 9
+       transitions), to random targets, listed in a random order. *)
+    let trans = ref [] in
+    for s = 0 to n - 1 do
+      Array.iter
+        (fun e ->
+          if rand 2 = 0 then trans := (s, Event.id e, rand n) :: !trans)
+        row_sort_events
+    done;
+    let t = Array.of_list !trans in
+    for i = Array.length t - 1 downto 1 do
+      let j = rand (i + 1) in
+      let x = t.(i) in
+      t.(i) <- t.(j);
+      t.(j) <- x
+    done;
+    let src = Array.map (fun (s, _, _) -> s) t in
+    let event = Array.map (fun (_, e, _) -> e) t in
+    let target = Array.map (fun (_, _, d) -> d) t in
+    let a = of_arrays ~name:"RS" n ~src ~event ~target in
+    if rows_of a <> tuple_sorted_rows n ~src ~event ~target then
+      Alcotest.failf "seed %d: CSR rows differ from the tuple sort" seed
+  done
+
+let test_row_sort_nondeterminism_messages () =
+  let id i = Event.id row_sort_events.(i) in
+  let lo = min (id 2) (id 5) and hi = max (id 2) (id 5) in
+  (* State 2 holds two duplicated events, listed largest first, and state
+     1 a duplicate with equal targets: the report names the lowest state
+     and, within its row, the smallest duplicated event id. *)
+  let src = [| 2; 2; 1; 2; 0; 2; 1 |] in
+  let event = [| hi; lo; id 7; hi; id 7; lo; id 7 |] in
+  let target = [| 0; 1; 2; 2; 0; 0; 2 |] in
+  Alcotest.check_raises "of_indexed_arrays, equal targets"
+    (Invalid_argument
+       (Printf.sprintf
+          "Automaton.of_indexed_arrays ND: nondeterministic on event id %d \
+           from state 1"
+          (id 7)))
+    (fun () -> ignore (of_arrays ~name:"ND" 3 ~src ~event ~target));
+  event.(6) <- id 0;
+  Alcotest.check_raises "of_indexed_arrays, lowest state and event id"
+    (Invalid_argument
+       (Printf.sprintf
+          "Automaton.of_indexed_arrays ND: nondeterministic on event id %d \
+           from state 2"
+          lo))
+    (fun () -> ignore (of_arrays ~name:"ND" 3 ~src ~event ~target));
+  Alcotest.check_raises "create"
+    (Invalid_argument
+       "Automaton ND: nondeterministic on \"rs5\" from state \"Q\"")
+    (fun () ->
+      ignore
+        (Automaton.create ~name:"ND" ~initial:"P"
+           ~transitions:
+             [
+               ("P", row_sort_events.(8), "Q");
+               ("Q", row_sort_events.(7), "P");
+               ("Q", row_sort_events.(5), "Q");
+               ("Q", row_sort_events.(1), "P");
+               ("Q", row_sort_events.(5), "P");
+             ]
+           ()))
+
+(* The digest encoder before its tokens were cached per automaton,
+   restated on the public API: every transition converts its source and
+   target with [string_of_int] and decodes its event by id. *)
+let reference_digest a =
+  let b = Buffer.create 1024 in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  let n = Automaton.num_states a in
+  add (Automaton.name a);
+  Buffer.add_string b (string_of_int n);
+  List.iter add (Automaton.states a);
+  Buffer.add_string b (string_of_int (Automaton.initial_index a));
+  Event.Set.iter
+    (fun e ->
+      add (Event.name e);
+      Buffer.add_char b (if Event.is_controllable e then 'c' else 'u'))
+    (Automaton.alphabet a);
+  for s = 0 to n - 1 do
+    Automaton.iter_row a s (fun eid d ->
+        Buffer.add_string b (string_of_int s);
+        Buffer.add_char b ',';
+        add (Event.name (Automaton.event_of_id a eid));
+        Buffer.add_string b (string_of_int d))
+  done;
+  for i = 0 to n - 1 do
+    Buffer.add_char b (if Automaton.is_marked_index a i then '1' else '0')
+  done;
+  for i = 0 to n - 1 do
+    Buffer.add_char b (if Automaton.is_forbidden_index a i then '1' else '0')
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_digest_matches_reference () =
+  let check what a =
+    check_string what (reference_digest a) (Automaton.structural_digest a)
+  in
+  for seed = 0 to 59 do
+    let a = random_automaton ~seed ~name:"RD" in
+    check (Printf.sprintf "random seed %d" seed) a;
+    let keep =
+      Array.init (Automaton.num_states a) (fun i -> (i + seed) mod 4 <> 1)
+    in
+    Option.iter
+      (check (Printf.sprintf "restrict_indices seed %d" seed))
+      (Automaton.restrict_indices a keep)
+  done;
+  (* Dots and backslashes in automaton, state and event names; "sink"
+     and "a.b\\c" have no out-edges. *)
+  let go = Event.controllable "go.now" and odd = Event.uncontrollable "x\\y" in
+  let escaped =
+    Automaton.create ~marked:[ "sink" ] ~forbidden:[ "a.b\\c" ]
+      ~alphabet:[ Event.controllable "unused.ev" ]
+      ~name:"dig.est\\" ~initial:"s.0"
+      ~transitions:
+        [
+          ("s.0", go, "s\\1");
+          ("s.0", odd, "a.b\\c");
+          ("s\\1", go, "sink");
+          ("s\\1", odd, "s.0");
+        ]
+      ()
+  in
+  check "escaped names, sinks" escaped;
+  let plants = List.init 5 (fun i -> cluster_plant (i + 1)) in
+  let plant = Compose.all plants in
+  check "k=5 Compose.all" plant;
+  match Synthesis.supcon ~plant ~spec:(cluster_budget_spec ~k:5 ~cap:4) with
+  | Ok (sup, _) ->
+      check "k=5 supervisor" sup;
+      check "k=5 closed loop" (Compose.pair sup plant)
+  | Error _ -> Alcotest.fail "k=5 synthesis unexpectedly empty"
+
+let test_digest_rejects_foreign_event () =
+  let outside = Event.controllable "not-in-alphabet" in
+  let a =
+    Automaton.of_indexed_arrays ~name:"FE"
+      ~names:(fun () -> [| "p"; "q" |])
+      ~alphabet:(Event.set_of_list [ row_sort_events.(0) ])
+      ~initial:0 ~marked:[| true; true |] ~forbidden:[| false; false |]
+      ~src:[| 0 |] ~event:[| Event.id outside |] ~target:[| 1 |]
+  in
+  Alcotest.check_raises "event outside the alphabet"
+    (Invalid_argument
+       (Printf.sprintf "Automaton FE: event id %d not in the alphabet"
+          (Event.id outside)))
+    (fun () -> ignore (Automaton.structural_digest a))
+
+let test_inttbl_put_find () =
+  let t = Inttbl.create () in
+  check_int "fresh insert" (-1) (Inttbl.put t 42 7);
+  check_int "second insert returns the existing value" 7 (Inttbl.put t 42 9);
+  check_int "value kept" 7 (Inttbl.find t 42);
+  check_int "miss" (-1) (Inttbl.find t 43);
+  check_int "key 0" (-1) (Inttbl.put t 0 3);
+  check_int "key max_int" (-1) (Inttbl.put t max_int 4);
+  check_int "find 0" 3 (Inttbl.find t 0);
+  check_int "find max_int" 4 (Inttbl.find t max_int)
+
+let test_inttbl_growth () =
+  let t = Inttbl.create () in
+  (* 10,000 keys need 32,768 slots: three doublings past the first
+     4,096. *)
+  let key i = i * 7919 in
+  for i = 0 to 9_999 do
+    if Inttbl.put t (key i) i <> -1 then Alcotest.failf "key %d not fresh" i
+  done;
+  for i = 0 to 9_999 do
+    if Inttbl.find t (key i) <> i then Alcotest.failf "key %d lost" i;
+    if Inttbl.find t (key i + 1) <> -1 then Alcotest.failf "phantom %d" i
+  done;
+  let small = Inttbl.create ~capacity:1 () in
+  for i = 0 to 99 do
+    ignore (Inttbl.put small i (2 * i))
+  done;
+  for i = 0 to 99 do
+    if Inttbl.find small i <> 2 * i then Alcotest.failf "small: key %d lost" i
+  done;
+  Inttbl.release small;
+  check_int "released: miss" (-1) (Inttbl.find small 5);
+  check_int "released: reusable" (-1) (Inttbl.put small 5 1);
+  check_int "released: found" 1 (Inttbl.find small 5)
+
+let test_inttbl_negative_key () =
+  let t = Inttbl.create ~capacity:16 () in
+  for i = 0 to 6 do
+    ignore (Inttbl.put t i (i + 10))
+  done;
+  Alcotest.check_raises "put" (Invalid_argument "Inttbl.put: negative key")
+    (fun () -> ignore (Inttbl.put t (-1) 0));
+  Alcotest.check_raises "find" (Invalid_argument "Inttbl.find: negative key")
+    (fun () -> ignore (Inttbl.find t min_int));
+  (* -1 marks an empty slot: storing it would have made a live slot look
+     free.  The table is unchanged, and still grows correctly. *)
+  for i = 7 to 40 do
+    ignore (Inttbl.put t i (i + 10))
+  done;
+  for i = 0 to 40 do
+    check_int (Printf.sprintf "key %d" i) (i + 10) (Inttbl.find t i)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Dot                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1479,6 +1728,22 @@ let () =
             test_unescape_state_name;
           Alcotest.test_case "names forced from two domains" `Quick
             test_names_forced_from_two_domains;
+          Alcotest.test_case "row sort matches tuple sort" `Quick
+            test_row_sort_matches_tuple_sort;
+          Alcotest.test_case "row sort nondeterminism messages" `Quick
+            test_row_sort_nondeterminism_messages;
+          Alcotest.test_case "structural digest matches reference" `Quick
+            test_digest_matches_reference;
+          Alcotest.test_case "digest rejects foreign event" `Quick
+            test_digest_rejects_foreign_event;
+        ] );
+      ( "inttbl",
+        [
+          Alcotest.test_case "put and find" `Quick test_inttbl_put_find;
+          Alcotest.test_case "growth keeps every key" `Quick
+            test_inttbl_growth;
+          Alcotest.test_case "negative key rejected" `Quick
+            test_inttbl_negative_key;
         ] );
       ( "parallel-synthesis",
         [
