@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench bench-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness check loc clean
+.PHONY: all build test fmt bench bench-smoke throughput-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke robustness check loc clean
 
 all: build
 
@@ -22,6 +22,28 @@ bench:
 # .github/workflows/ci.yml).
 bench-smoke:
 	dune exec bench/main.exe -- synthesis-scale throughput --smoke
+
+# Throughput smoke: the tick-kernel allocation gates (Soc.step_into,
+# Supervisor.step and Mimo.step_into at exactly 0 B/call; a whole warm
+# SPECTR / SPECTR+G / SPECTR+R run through Scenario.tick at 0 B/tick on
+# every built-in platform shape) and batch-vs-one-shot digest agreement
+# (a warm arena checkout drives every variant to the byte-identical
+# trace a freshly built manager produces).  The bench exits nonzero on
+# a breach; the greps pin that every gate line was printed.
+throughput-smoke:
+	dune exec bench/main.exe -- throughput --smoke > /tmp/spectr-tput.txt
+	cat /tmp/spectr-tput.txt
+	grep -q "Soc.step_into .*PASS" /tmp/spectr-tput.txt
+	grep -q "Supervisor.step .*PASS" /tmp/spectr-tput.txt
+	grep -q "Mimo.step_into .*PASS" /tmp/spectr-tput.txt
+	for v in SPECTR SPECTR+G SPECTR+R; do \
+	  for p in exynos5422 pixel8pro k4; do \
+	    grep -q "Scenario.tick ($$v, $$p) *0.00 B/tick .*PASS" /tmp/spectr-tput.txt \
+	      || { echo "missing 0 B/tick gate: $$v on $$p"; exit 1; }; \
+	  done; \
+	done
+	grep -q "SPECTR .*PASS" /tmp/spectr-tput.txt
+	grep -q "throughput: all gates passed" /tmp/spectr-tput.txt
 
 robustness:
 	dune exec bench/main.exe -- robustness
@@ -145,7 +167,7 @@ reconfig-smoke:
 	  /tmp/spectr-reconfig-chaos-j4.txt
 
 # What CI runs.
-check: build fmt test obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke
+check: build fmt test throughput-smoke obs-smoke chaos-smoke fleet-smoke platform-smoke synth-smoke reconfig-smoke
 
 # Line total of the library sources (lib/**/*.ml and *.mli) — the
 # figure CHANGES.md records before and after each change.

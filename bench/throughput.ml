@@ -25,8 +25,6 @@ open Spectr_platform
 
 let smoke = ref false
 
-let digest_of_trace tr = Digest.to_hex (Digest.string (Trace.to_csv tr))
-
 (* Bytes allocated per iteration of [f], after [f] has already been run
    to steady state by the caller.  The Gc.allocated_bytes calls box a
    float each; amortized over the iteration count they contribute far
@@ -285,14 +283,14 @@ let digest_section arena =
     (fun v ->
       let cfg = Spectr.Scenario.default_config ~seed:42L Benchmarks.x264 in
       let fresh, _, _, _ = Spectr_chaos.Campaign.make_manager v in
-      let d_fresh = digest_of_trace (run_config cfg fresh) in
+      let d_fresh = Trace.digest (run_config cfg fresh) in
       let warm, _, _, _ = Spectr_chaos.Arena.checkout arena v in
       (* Second checkout exercises the reset path, not first build. *)
       let warm, _, _, _ =
         ignore (run_config cfg warm : Trace.t);
         Spectr_chaos.Arena.checkout arena v
       in
-      let d_warm = digest_of_trace (run_config cfg warm) in
+      let d_warm = Trace.digest (run_config cfg warm) in
       if d_fresh <> d_warm then
         failwith
           (Printf.sprintf

@@ -20,16 +20,16 @@
    concurrent first checkouts across domains still run each
    identification experiment once. *)
 
-type slot = {
-  sl_mgr : Spectr.Manager.t;
-  sl_sup : Spectr.Supervisor.t option;
-  sl_guards : Spectr.Guarded.t option;
-  sl_pristine : Spectr.Manager.checkpoint;
-  sl_restore : Spectr.Manager.checkpoint -> unit;
-}
+type made =
+  Spectr.Manager.t
+  * Spectr.Supervisor.t option
+  * Spectr.Guarded.t option
+  * Spectr.Spectr_manager.Reconfig.handle option
 
+(* A warm slot: the built manager and the reset to its pristine
+   checkpoint. *)
 type t = {
-  slots : (Campaign.variant, slot) Hashtbl.t Domain.DLS.key;
+  slots : (Campaign.variant, made * (unit -> unit)) Hashtbl.t Domain.DLS.key;
   mutable checkouts : int; (* diagnostic; racy under parallel sweeps *)
 }
 
@@ -42,25 +42,20 @@ let checkout t variant =
   t.checkouts <- t.checkouts + 1;
   let slots = Domain.DLS.get t.slots in
   match Hashtbl.find_opt slots variant with
-  | Some s ->
-      s.sl_restore s.sl_pristine;
-      (s.sl_mgr, s.sl_sup, s.sl_guards, None)
+  | Some (made, reset) ->
+      reset ();
+      made
   | None ->
-      let mgr, sup, guards, handle = Campaign.make_manager variant in
+      let ((mgr, _, _, _) as made) = Campaign.make_manager variant in
       (match mgr.Spectr.Manager.persist with
       | Some p ->
+          let pristine = p.Spectr.Manager.snapshot () in
           Hashtbl.replace slots variant
-            {
-              sl_mgr = mgr;
-              sl_sup = sup;
-              sl_guards = guards;
-              sl_pristine = p.Spectr.Manager.snapshot ();
-              sl_restore = p.Spectr.Manager.restore;
-            }
+            (made, fun () -> p.Spectr.Manager.restore pristine)
       | None ->
           (* No persistence hook means no way to reset state between
              cells; such a manager is simply rebuilt every checkout.
              SPECTR+R lands here by design: the supervised description
              itself is runtime state, so a warm slot cannot be reset. *)
           ());
-      (mgr, sup, guards, handle)
+      made

@@ -11,8 +11,6 @@ type outcome = {
   reconfig_status : string option;
 }
 
-let digest_of_trace trace = Digest.to_hex (Digest.string (Trace.to_csv trace))
-
 let run_cell ?arena ?limits (cell : Campaign.cell) =
   let config = Campaign.config_of_cell cell in
   (* With an arena, manager (re)construction is a warm checkout: same
@@ -82,7 +80,7 @@ let run_cell ?arena ?limits (cell : Campaign.cell) =
     cell;
     violations = Invariants.violations monitor;
     ticks = Spectr.Scenario.ticks_done runner;
-    digest = digest_of_trace (Spectr.Scenario.trace runner);
+    digest = Trace.digest (Spectr.Scenario.trace runner);
     watchdog_recoveries =
       (match !guards with
       | None -> 0

@@ -175,17 +175,18 @@ type t = {
   mutable last_valid : bool;
 }
 
+(* The gain set labelled [label], found without allocating an option. *)
+let rec gain_set who label = function
+  | [] -> invalid_arg (Printf.sprintf "%s: unknown label %S" who label)
+  | (l, k) :: rest -> if l = label then k else gain_set who label rest
+
 let make ~who ?(z_clamp = 20.) (ks : kernels) ~initial ~inputs ~outputs ~refs =
   if z_clamp <= 0. then invalid_arg (who ^ ": z_clamp <= 0");
   let n = ks.n and m = ks.m and p = ks.p in
   if Array.length inputs <> m then invalid_arg (who ^ ": inputs length");
   if Array.length outputs <> p then invalid_arg (who ^ ": outputs length");
   if Array.length refs <> p then invalid_arg (who ^ ": refs length");
-  let active =
-    match List.assoc_opt initial ks.sets with
-    | Some k -> k
-    | None -> invalid_arg (Printf.sprintf "%s: unknown label %S" who initial)
-  in
+  let active = gain_set who initial ks.sets in
   let field f chs = Array.map f chs in
   {
     kernels = ks;
@@ -333,10 +334,7 @@ let step_into ctrl ~measured ~dst =
    bit-identical to the matrix formulation and allocates nothing; a
    singular Gram matrix leaves the integrators as they are. *)
 let switch_gains ctrl label =
-  (* [List.assoc], not [assoc_opt]: the option would be an allocation. *)
-  match List.assoc label ctrl.kernels.sets with
-  | exception Not_found ->
-      invalid_arg (Printf.sprintf "Mimo.switch_gains: unknown label %S" label)
+  match gain_set "Mimo.switch_gains" label ctrl.kernels.sets with
   | k when k == ctrl.active -> ()
   | k ->
       (match k.gram with
@@ -415,33 +413,35 @@ let snapshot ctrl =
     snap_last = (if ctrl.last_valid then Some (Array.copy ctrl.last) else None);
   }
 
+(* Restore helpers, top-level so that [restore] builds no closure: an
+   accepted snapshot is copied in without allocating. *)
+let rec unit_rows a i = i < 0 || (Array.length a.(i) = 1 && unit_rows a (i - 1))
+
+let check_column what len a =
+  if Array.length a <> len || not (unit_rows a (len - 1)) then
+    invalid_arg ("Mimo.restore: " ^ what ^ " shape")
+
+let load_column (dst : float array) (a : float array array) =
+  for i = 0 to Array.length a - 1 do
+    dst.(i) <- a.(i).(0)
+  done
+
 let restore ctrl s =
-  let k =
-    match List.assoc_opt s.snap_active ctrl.kernels.sets with
-    | Some k -> k
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Mimo.restore: unknown gain label %S" s.snap_active)
-  in
+  let k = gain_set "Mimo.restore" s.snap_active ctrl.kernels.sets in
   if Array.length s.snap_refs <> Array.length ctrl.refs then
     invalid_arg "Mimo.restore: refs length";
-  let check what len a =
-    if Array.length a <> len || Array.exists (fun r -> Array.length r <> 1) a
-    then invalid_arg ("Mimo.restore: " ^ what ^ " shape")
-  in
-  check "xhat" ctrl.n s.snap_xhat;
-  check "z" ctrl.p s.snap_z;
-  check "u_prev" ctrl.m s.snap_u_prev;
+  check_column "xhat" ctrl.n s.snap_xhat;
+  check_column "z" ctrl.p s.snap_z;
+  check_column "u_prev" ctrl.m s.snap_u_prev;
   (match s.snap_last with
   | Some a when Array.length a <> ctrl.m ->
       invalid_arg "Mimo.restore: last shape"
   | _ -> ());
   ctrl.active <- k;
   Array.blit s.snap_refs 0 ctrl.refs 0 (Array.length ctrl.refs);
-  let load dst a = Array.iteri (fun i r -> dst.(i) <- r.(0)) a in
-  load ctrl.xhat s.snap_xhat;
-  load ctrl.z s.snap_z;
-  load ctrl.u_prev s.snap_u_prev;
+  load_column ctrl.xhat s.snap_xhat;
+  load_column ctrl.z s.snap_z;
+  load_column ctrl.u_prev s.snap_u_prev;
   match s.snap_last with
   | None -> ctrl.last_valid <- false
   | Some a ->

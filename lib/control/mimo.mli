@@ -145,10 +145,10 @@ val innovation_norm_into : t -> float array -> int -> unit
 
     The controller's full mutable state — active gain label, physical
     references, state estimate, integrators, previous normalized command
-    and last physical command — as plain data (safe to [Marshal]).  Gains
-    and channel descriptions are {e not} captured: restore into a
-    controller built by the same design flow.  A restored controller's
-    subsequent [step]s are bit-identical to the snapshotted instance's. *)
+    and last physical command — as an unshared copy.  Gains and channel
+    descriptions are {e not} captured: restore into a controller built by
+    the same design flow.  A restored controller's subsequent [step]s
+    are bit-identical to the snapshotted instance's. *)
 
 type snapshot = {
   snap_active : string;
@@ -162,6 +162,6 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] when the snapshot's gain label is unknown
-    to this controller or a dimension disagrees (a checkpoint from a
-    different subsystem). *)
+(** Copies in place, allocating nothing.  Raises [Invalid_argument]
+    first when the gain label is unknown to this controller or a
+    dimension disagrees (a checkpoint from a different subsystem). *)

@@ -38,8 +38,8 @@ val reset : t -> unit
 (** {1 Checkpoint/restore}
 
     The full mutable state of a PID loop apart from its gains (which the
-    owner reconstructs): reference, integrator and previous error.  Plain
-    data, safe to [Marshal]. *)
+    owner reconstructs): reference, integrator and previous error, as
+    immutable data. *)
 
 type snapshot = {
   snap_reference : float;

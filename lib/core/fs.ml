@@ -24,18 +24,6 @@ let make ?(seed = 17L) () =
     ignore (Manager.apply_command soc 1 u ~pos:2 : bool)
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = "FS";
-            payload = Marshal.to_string (Mimo.snapshot ctrl) [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:"FS" c;
-          Mimo.restore ctrl
-            (Marshal.from_string c.Manager.payload 0 : Mimo.snapshot));
-    }
+    Manager.persist ~variant:"FS" (Manager.leaf_parts ~ctrls:[| ctrl |] ())
   in
   { Manager.name = "FS"; step; persist = Some persist }

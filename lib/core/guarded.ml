@@ -340,7 +340,9 @@ let restore t s =
          (Array.length s.snap_power)
          (Array.length t.power_chs));
   restore_channel t.qos_ch s.snap_qos;
-  Array.iteri (fun i cs -> restore_channel t.power_chs.(i) cs) s.snap_power;
+  for i = 0 to Array.length s.snap_power - 1 do
+    restore_channel t.power_chs.(i) s.snap_power.(i)
+  done;
   t.sensor_bad_streak <- s.snap_sensor_bad_streak;
   t.actuator_bad_streak <- s.snap_actuator_bad_streak;
   t.good_streak <- s.snap_good_streak;

@@ -134,10 +134,10 @@ val power_masked : t -> cluster:int -> bool
 (** {1 Checkpoint/restore}
 
     The watchdog's full mutable state — per-channel filter memory,
-    streak counters, degradation flag and span history — as plain data
-    (safe to [Marshal]).  A restored guard continues bit-identically to
-    the snapshotted instance: its stuck/spike streaks, trip countdown
-    and recovery bookkeeping all survive the manager restart. *)
+    streak counters, degradation flag and span history — as an unshared
+    copy.  A restored guard continues bit-identically to the
+    snapshotted instance: its stuck/spike streaks, trip countdown and
+    recovery bookkeeping all survive the manager restart. *)
 
 type channel_snapshot = {
   snap_last_good : float;
@@ -167,5 +167,5 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
-(** Raises [Invalid_argument] when the snapshot's power-channel count
-    does not match {!clusters}. *)
+(** Copies in place, allocating nothing.  Raises [Invalid_argument]
+    first when the power-channel count does not match {!clusters}. *)

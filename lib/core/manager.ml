@@ -1,3 +1,4 @@
+open Spectr_control
 open Spectr_platform
 
 module Obs = Spectr_obs
@@ -6,7 +7,15 @@ module Obs = Spectr_obs
 let c_actuations = Obs.Counters.counter "manager.actuations"
 let c_sanitized = Obs.Counters.counter "manager.commands_sanitized"
 
-type checkpoint = { variant : string; payload : string }
+type checkpoint = {
+  variant : string;
+  supervisor : Supervisor.snapshot option;
+  ctrls : Mimo.snapshot array;
+  pids : Pid.snapshot array;
+  guard : Guarded.snapshot option;
+  phase : int;
+}
+
 type persist = { snapshot : unit -> checkpoint; restore : checkpoint -> unit }
 
 type t = {
@@ -21,13 +30,62 @@ type t = {
   persist : persist option;
 }
 
-(* Payloads are Marshal-ed plain data; the variant tag is what guards a
-   checkpoint from being restored into the wrong manager kind. *)
-let require_variant ~expect c =
-  if c.variant <> expect then
-    invalid_arg
-      (Printf.sprintf "Manager.restore: checkpoint for %S, manager is %S"
-         c.variant expect)
+type parts = {
+  supervisor : Supervisor.t option;
+  ctrls : Mimo.t array;
+  pids : Pid.t array;
+  guard : Guarded.t option;
+  phase : int ref;
+}
+
+let leaf_parts ?(ctrls = [||]) ?(pids = [||]) () =
+  { supervisor = None; ctrls; pids; guard = None; phase = ref 0 }
+
+(* Snapshot copies every part out.  Restore checks the whole checkpoint
+   before writing, then copies every part back in place without
+   aliasing it, so one checkpoint can be restored any number of times;
+   only a rejection allocates (its message). *)
+let persist ~variant p =
+  let snapshot () =
+    {
+      variant;
+      supervisor = Option.map Supervisor.snapshot p.supervisor;
+      ctrls = Array.map Mimo.snapshot p.ctrls;
+      pids = Array.map Pid.snapshot p.pids;
+      guard = Option.map Guarded.snapshot p.guard;
+      phase = !(p.phase);
+    }
+  in
+  let restore (c : checkpoint) =
+    if
+      c.variant <> variant
+      || Array.length c.ctrls <> Array.length p.ctrls
+      || Array.length c.pids <> Array.length p.pids
+      || Option.is_some c.supervisor <> Option.is_some p.supervisor
+      || Option.is_some c.guard <> Option.is_some p.guard
+    then
+      invalid_arg
+        (Printf.sprintf "Manager.restore: checkpoint for %S, manager is %S"
+           c.variant variant);
+    (match (p.supervisor, c.supervisor) with
+    | Some t, Some s -> Supervisor.restore t s
+    | _ -> ());
+    for i = 0 to Array.length p.ctrls - 1 do
+      Mimo.restore p.ctrls.(i) c.ctrls.(i)
+    done;
+    for i = 0 to Array.length p.pids - 1 do
+      Pid.restore p.pids.(i) c.pids.(i)
+    done;
+    (match (p.guard, c.guard) with
+    | Some g, Some s -> Guarded.restore g s
+    | _ -> ());
+    p.phase := c.phase
+  in
+  { snapshot; restore }
+
+let variant_tag name platform =
+  if Design_flow.is_reference_platform platform then name
+  else name ^ "@" ^ String.sub (Platform_desc.digest platform) 0 12
 
 (* Non-finite or out-of-range core commands clamp to the nearest legal
    count — NaN conservatively to 1 — instead of silently becoming 0

@@ -7,26 +7,32 @@
     between phases), and the manager applies its actuation decisions to
     the SoC. *)
 
+open Spectr_control
 open Spectr_platform
 
-type checkpoint = { variant : string; payload : string }
-(** An opaque-to-callers manager checkpoint: a variant tag naming the
-    manager kind that produced it plus a [Marshal]-ed plain-data payload
-    (controller snapshots — see {!Spectr_control.Mimo.snapshot},
-    {!Supervisor.snapshot}, {!Guarded.snapshot} — and the tick phase).
-    Restoring a checkpoint into a manager of a different variant raises
-    [Invalid_argument]. *)
+type checkpoint = private {
+  variant : string;  (** The producing manager's {!variant_tag}. *)
+  supervisor : Supervisor.snapshot option;
+  ctrls : Mimo.snapshot array;  (** LQG leaf controllers. *)
+  pids : Pid.snapshot array;
+  guard : Guarded.snapshot option;
+  phase : int;  (** SPECTR's supervisor-divisor tick phase; 0 otherwise. *)
+}
+(** A manager checkpoint: a typed in-process copy of every part of the
+    manager's mutable state, sharing no mutable storage with it.  Only
+    {!persist} makes one, so a checkpoint always has the shape its tag
+    names, and one checkpoint may be restored any number of times. *)
 
 type persist = {
   snapshot : unit -> checkpoint;
       (** Capture the manager's complete mutable state.  Cheap (no
           I/O, a few small copies) — safe to call every period. *)
   restore : checkpoint -> unit;
-      (** Overwrite the manager's state from a checkpoint.  After
-          [restore], stepping continues bit-identically to the
-          snapshotted instance — the checkpoint/resume guarantee the
-          chaos soak pins.  Raises [Invalid_argument] on a variant
-          mismatch or corrupted payload. *)
+      (** Overwrite the manager's state in place; stepping then
+          continues bit-identically to the snapshotted instance.  Raises
+          [Invalid_argument] naming both tags, before writing anything,
+          on a variant tag, controller count or supervisor/guard
+          presence mismatch.  Allocates nothing otherwise. *)
 }
 
 type t = {
@@ -41,14 +47,30 @@ type t = {
     unit;
   persist : persist option;
       (** Checkpoint/restore capability, when the manager supports it
-          (all shipped managers do).  [None] marks a manager that cannot
-          be hot-restarted; the soak runner skips kill/restart cells for
+          (all but SPECTR+R).  [None] marks a manager that cannot be
+          hot-restarted; the soak runner skips kill/restart cells for
           it. *)
 }
 
-val require_variant : expect:string -> checkpoint -> unit
-(** Helper for [restore] implementations: raise [Invalid_argument]
-    unless the checkpoint's variant tag is [expect]. *)
+type parts = {
+  supervisor : Supervisor.t option;
+  ctrls : Mimo.t array;
+  pids : Pid.t array;
+  guard : Guarded.t option;
+  phase : int ref;
+}
+(** A manager's live state: the supervisor, the LQG or PID leaf
+    controllers, the guard and the tick phase. *)
+
+val leaf_parts : ?ctrls:Mimo.t array -> ?pids:Pid.t array -> unit -> parts
+(** The parts of a manager with leaf controllers only (default none). *)
+
+val persist : variant:string -> parts -> persist
+(** The one snapshot/restore pair over [parts], tagged [variant]. *)
+
+val variant_tag : string -> Platform_desc.t -> string
+(** [name] on the reference platform, [name ^ "@" ^] 12 hex digits of
+    the platform digest elsewhere: a checkpoint cannot cross platforms. *)
 
 val sanitize_cores : ?max_cores:int -> float -> int
 (** The core count a [cores] command resolves to: clamped to

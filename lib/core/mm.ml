@@ -61,27 +61,9 @@ let make ~label ~name ?(seed = 17L) ?(platform = Platform_desc.exynos5422) () =
     done
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = name;
-            payload = Marshal.to_string (Array.map Mimo.snapshot ctrls) [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:name c;
-          let snaps =
-            (Marshal.from_string c.Manager.payload 0 : Mimo.snapshot array)
-          in
-          if Array.length snaps <> k then
-            invalid_arg
-              (Printf.sprintf
-                 "Mm.restore: %d controller snapshots, platform has %d \
-                  clusters"
-                 (Array.length snaps) k);
-          Array.iteri (fun i s -> Mimo.restore ctrls.(i) s) snaps);
-    }
+    Manager.persist
+      ~variant:(Manager.variant_tag name platform)
+      (Manager.leaf_parts ~ctrls ())
   in
   { Manager.name; step; persist = Some persist }
 

@@ -47,27 +47,7 @@ let make ?seed () =
     ignore (Manager.apply_command soc little cmd ~pos:2 : bool)
   in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          {
-            Manager.variant = "SISO";
-            payload =
-              Marshal.to_string
-                (Pid.snapshot qos_pid, Pid.snapshot cores_pid,
-                 Pid.snapshot little_pid)
-                [];
-          });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:"SISO" c;
-          let sq, sc, sl =
-            (Marshal.from_string c.Manager.payload 0
-              : Pid.snapshot * Pid.snapshot * Pid.snapshot)
-          in
-          Pid.restore qos_pid sq;
-          Pid.restore cores_pid sc;
-          Pid.restore little_pid sl);
-    }
+    Manager.persist ~variant:"SISO"
+      (Manager.leaf_parts ~pids:[| qos_pid; cores_pid; little_pid |] ())
   in
   { Manager.name = "SISO"; step; persist = Some persist }

@@ -53,7 +53,7 @@ module Reconfig = struct
     mutable swap_left : int;
     mutable reconfigs : int;
     mutable resynth_s : float; (* last re-synthesis, installed clock *)
-    mutable tick : int; (* controller periods stepped *)
+    tick : int ref; (* controller periods stepped; the checkpoint phase *)
   }
 
   let status h = h.status
@@ -157,7 +157,7 @@ let ladder ~who ~seed ~supervisor_divisor ~gain_scheduling ~swap_ticks
       swap_left = 0;
       reconfigs = 0;
       resynth_s = 0.;
-      tick = 0;
+      tick = ref 0;
     }
   in
   let enter_fallback () =
@@ -314,8 +314,8 @@ let ladder ~who ~seed ~supervisor_divisor ~gain_scheduling ~swap_ticks
     (match h.fdir with
     | Some fd when h.status <> Fallback -> List.iter handle_finding (Fdir.poll fd)
     | _ -> ());
-    let tick = h.tick in
-    h.tick <- tick + 1;
+    let tick = !(h.tick) in
+    h.tick := tick + 1;
     match h.status with
     | Fallback -> floor_all soc ~now
     | Swapping ->
@@ -380,55 +380,18 @@ let make ?(seed = 17L) ?(supervisor_divisor = 2) ?(gain_scheduling = true)
       ~gain_scheduling ~swap_ticks:None ~guards platform
   in
   let name = match guards with None -> "SPECTR" | Some _ -> "SPECTR+G" in
-  (* The checkpoint spans the whole supervisory stack: supervisor engine,
-     every leaf controller, the supervisor-divisor tick phase and (when
-     armed) the watchdog.  The variant tag also encodes gain scheduling
-     and — off the reference platform — the platform digest, so a
-     checkpoint can't cross ablation variants or platforms. *)
-  let variant =
-    let base = if gain_scheduling then name else name ^ "-nogs" in
-    if Design_flow.is_reference_platform platform then base
-    else base ^ "@" ^ String.sub (Platform_desc.digest platform) 0 12
-  in
-  let k = Platform_desc.num_clusters platform in
+  (* The checkpoint spans the whole supervisory stack; its tag names the
+     rung set, gain scheduling and the platform. *)
+  let base = if gain_scheduling then name else name ^ "-nogs" in
   let persist =
-    {
-      Manager.snapshot =
-        (fun () ->
-          let state =
-            ( Supervisor.snapshot h.sup,
-              Array.map Mimo.snapshot !(h.ctrls),
-              h.tick,
-              Option.map Guarded.snapshot guards )
-          in
-          { Manager.variant; payload = Marshal.to_string state [] });
-      restore =
-        (fun c ->
-          Manager.require_variant ~expect:variant c;
-          let ssup, sctrls, stick, sguards =
-            (Marshal.from_string c.Manager.payload 0
-              : Supervisor.snapshot
-                * Mimo.snapshot array
-                * int
-                * Guarded.snapshot option)
-          in
-          if Array.length sctrls <> k then
-            invalid_arg
-              (Printf.sprintf
-                 "Spectr_manager.restore: %d controller snapshots, platform \
-                  has %d clusters"
-                 (Array.length sctrls) k);
-          Supervisor.restore h.sup ssup;
-          Array.iteri (fun i s -> Mimo.restore !(h.ctrls).(i) s) sctrls;
-          h.tick <- stick;
-          match (guards, sguards) with
-          | Some g, Some s -> Guarded.restore g s
-          | None, None -> ()
-          | _ ->
-              (* require_variant already rules this out ("+G" is part of
-                 the tag), but a corrupted payload must not half-restore. *)
-              invalid_arg "Spectr_manager.restore: guard state mismatch");
-    }
+    Manager.persist ~variant:(Manager.variant_tag base platform)
+      {
+        Manager.supervisor = Some h.sup;
+        ctrls = !(h.ctrls);
+        pids = [||];
+        guard = h.guard;
+        phase = h.tick;
+      }
   in
   ({ Manager.name; step; persist = Some persist }, h.sup)
 

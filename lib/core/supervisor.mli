@@ -166,10 +166,10 @@ val table_next : table -> int -> int -> int
 
     The runtime engine's full mutable state — automaton state index,
     gain mode, dwell age, the per-cluster budgets and the last
-    trustworthy measurements — as plain data (safe to [Marshal]).  The
-    synthesized automaton itself is {e not} captured: synthesis is
-    deterministic and memoized, so a fresh {!create} rebuilds the
-    identical automaton and the saved index stays valid. *)
+    trustworthy measurements — as an unshared copy.  The synthesized
+    automaton itself is {e not} captured: synthesis is deterministic and
+    memoized, so a fresh {!create} rebuilds the identical automaton and
+    the saved index stays valid. *)
 
 type snapshot = {
   snap_state : int;

@@ -95,6 +95,10 @@ let last t name =
   if t.n = 0 then invalid_arg "Trace.last: empty trace";
   t.cols.(index t name).(t.n - 1)
 
+(* What [Printf.sprintf "%.6g"] ends in: the same bytes for every float,
+   without interpreting a format per cell. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_csv t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (String.concat "," (Array.to_list t.names));
@@ -103,8 +107,10 @@ let to_csv t =
   for r = 0 to t.n - 1 do
     for c = 0 to k - 1 do
       if c > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%.6g" t.cols.(c).(r))
+      Buffer.add_string buf (format_float "%.6g" t.cols.(c).(r))
     done;
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
+
+let digest t = Digest.to_hex (Digest.string (to_csv t))

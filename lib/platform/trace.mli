@@ -52,3 +52,7 @@ val last_ix : t -> int -> float
 
 val to_csv : t -> string
 (** Header line plus one comma-separated line per row. *)
+
+val digest : t -> string
+(** Hex MD5 of {!to_csv}: the trace digest every determinism pin
+    compares. *)

@@ -100,8 +100,8 @@ let test_engine_determinism () =
 
 (* A kill at tick [k] with staleness 0 restores the exact pre-kill
    state into a fresh manager: the trace must be byte-identical to the
-   uninterrupted run.  Pinned across the supervisory variants named in
-   the issue plus a baseline manager. *)
+   uninterrupted run.  Pinned for every variant that can be checkpointed
+   (all but SPECTR+R). *)
 let test_checkpoint_exact_resume () =
   List.iter
     (fun variant ->
@@ -117,7 +117,7 @@ let test_checkpoint_exact_resume () =
       check_string
         (name ^ ": kill+restore trace byte-identical")
         plain.Engine.digest killed.Engine.digest)
-    Campaign.[ Spectr_g; Spectr; Mm_pow; Siso ]
+    Campaign.[ Spectr_g; Spectr; Mm_pow; Mm_perf; Siso; Fs ]
 
 let test_bounded_staleness_determinism () =
   let cell =

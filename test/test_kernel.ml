@@ -4,9 +4,9 @@
 
    - allocation budgets: Soc.step_into and Supervisor.step must
      allocate EXACTLY zero bytes per call once warm, and so must a whole
-     warm SPECTR / SPECTR+G / SPECTR+R run through Scenario.tick — a
-     boxed float or a closure creeping back into the hot path fails
-     here;
+     warm SPECTR / SPECTR+G / SPECTR+R run through Scenario.tick and a
+     warm checkpoint restore — a boxed float or a closure creeping back
+     into the hot path fails here;
    - byte-identity: the hot-path rewrites (index-native supervisor,
      in-place MIMO step, buffer-reusing scenario loop, memoized gain
      design) must not change any trace — scenario CSV digests are
@@ -162,6 +162,47 @@ let spectr_g platform () =
 let spectr_r platform () =
   fst (Spectr.Spectr_manager.make_reconfigurable ~platform ())
 
+(* Restore, warm: every part of a checkpoint is copied back in place, so
+   resetting a manager (an arena checkout, a kill drill's restart)
+   allocates nothing.  Exact count over repeated restores of one
+   checkpoint, taken mid-run so the controllers hold a last command and
+   the supervisor has left its initial state. *)
+let restore_cases =
+  let exynos = Platform_desc.exynos5422 and pixel = Platform_desc.pixel8pro in
+  [
+    ("SPECTR", spectr exynos, exynos);
+    ("SPECTR+G", spectr_g exynos, exynos);
+    ("MM-Pow", (fun () -> Spectr.Mm.make_pow ()), exynos);
+    ("MM-Perf", (fun () -> Spectr.Mm.make_perf ()), exynos);
+    ("FS", (fun () -> Spectr.Fs.make ()), exynos);
+    ("SISO", (fun () -> Spectr.Siso.make ()), exynos);
+    ("SPECTR+G", spectr_g pixel, pixel);
+  ]
+
+let test_restore_zero_alloc () =
+  List.iter
+    (fun (name, make, platform) ->
+      let manager = make () in
+      let p = Option.get manager.Spectr.Manager.persist in
+      let r =
+        Spectr.Scenario.start
+          (Spectr.Scenario.default_config ~platform Benchmarks.x264)
+      in
+      for _ = 1 to 100 do
+        ignore (Spectr.Scenario.tick r ~manager : Soc.observation option)
+      done;
+      let c = p.Spectr.Manager.snapshot () in
+      p.Spectr.Manager.restore c;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        p.Spectr.Manager.restore c
+      done;
+      let w1 = Gc.minor_words () in
+      if w1 -. w0 <> 0. then
+        Alcotest.failf "%s on %s: %.0f minor words over 1000 restores" name
+          (Platform_desc.name platform) (w1 -. w0))
+    restore_cases
+
 (* End to end: a warm manager driven through [Scenario.tick] for a whole
    run.  Minor-heap words over the ticks only (the runner and manager
    are built first), required to be exactly zero: any boxed float, option
@@ -313,7 +354,7 @@ let trace_digest make cfg =
   let trace = Spectr.Scenario.run ~manager:(make ()) cfg in
   check_int "pinned run length" (Spectr.Scenario.total_ticks cfg)
     (Trace.length trace);
-  Digest.to_hex (Digest.string (Trace.to_csv trace))
+  Trace.digest trace
 
 let test_pinned_digests () =
   List.iter
@@ -321,9 +362,12 @@ let test_pinned_digests () =
       check_string (name ^ " CSV digest") digest (trace_digest make cfg))
     pinned
 
-(* The SPECTR / SPECTR+G checkpoint payload after a whole x264 run:
-   supervisor engine, leaf controllers, tick phase and (guarded) the
-   watchdog, in a fixed shape that restore reads back at a fixed type. *)
+(* The SPECTR / SPECTR+G checkpoint after a whole x264 run: supervisor
+   engine, leaf controllers, tick phase and (guarded) the watchdog.  The
+   digests were recorded when a checkpoint carried these parts as one
+   marshalled (supervisor, controllers, phase, guard) tuple; the test
+   marshals the typed checkpoint's parts in that order, so the pins
+   still cover every captured value bit for bit. *)
 let pinned_checkpoints =
   [
     ( "spectr",
@@ -346,9 +390,15 @@ let test_pinned_checkpoints () =
       let manager = make () in
       ignore (Spectr.Scenario.run ~manager (x264 platform) : Trace.t);
       let c = (Option.get manager.Spectr.Manager.persist).snapshot () in
+      let parts =
+        ( Option.get c.Spectr.Manager.supervisor,
+          c.Spectr.Manager.ctrls,
+          c.Spectr.Manager.phase,
+          c.Spectr.Manager.guard )
+      in
       check_string (name ^ " checkpoint digest") digest
         (c.Spectr.Manager.variant ^ " "
-        ^ Digest.to_hex (Digest.string c.Spectr.Manager.payload)))
+        ^ Digest.to_hex (Digest.string (Marshal.to_string parts []))))
     pinned_checkpoints
 
 (* The Exynos identification experiments: ARX parameters plus every
@@ -426,21 +476,17 @@ let test_arena_checkout_equals_fresh () =
     (fun variant ->
       let cfg = Spectr.Scenario.default_config ~seed:42L Benchmarks.x264 in
       let fresh, _, _, _ = Spectr_chaos.Campaign.make_manager variant in
-      let d_fresh =
-        Digest.string (Trace.to_csv (Spectr.Scenario.run ~manager:fresh cfg))
-      in
+      let d_fresh = Trace.digest (Spectr.Scenario.run ~manager:fresh cfg) in
       (* First checkout builds; run it dirty, then check out again so
          the pristine-reset path is what's under test. *)
       let warm, _, _, _ = Spectr_chaos.Arena.checkout arena variant in
       ignore (Spectr.Scenario.run ~manager:warm cfg : Trace.t);
       let warm, _, _, _ = Spectr_chaos.Arena.checkout arena variant in
-      let d_warm =
-        Digest.string (Trace.to_csv (Spectr.Scenario.run ~manager:warm cfg))
-      in
+      let d_warm = Trace.digest (Spectr.Scenario.run ~manager:warm cfg) in
       check_string
         (Spectr_chaos.Campaign.variant_name variant ^ " arena digest")
-        (Digest.to_hex d_fresh) (Digest.to_hex d_warm))
-    [ Spectr_chaos.Campaign.Spectr; Spectr_chaos.Campaign.Mm_pow ]
+        d_fresh d_warm)
+    Spectr_chaos.Campaign.[ Spectr; Spectr_g; Mm_pow; Mm_perf; Siso; Fs ]
 
 let test_arena_cells_equal_cold_cells () =
   let spec = Spectr_chaos.Campaign.default_spec ~seed:11 ~cells:6 () in
@@ -943,6 +989,8 @@ let () =
             (zero_alloc_ticks ("SPECTR+R", spectr_r));
           Alcotest.test_case "warm Spectr_manager.make" `Quick
             test_warm_make_alloc;
+          Alcotest.test_case "persist.restore zero-alloc" `Quick
+            test_restore_zero_alloc;
         ] );
       ( "byte-identity",
         [

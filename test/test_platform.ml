@@ -556,7 +556,41 @@ let test_trace_validation () =
 let test_trace_csv () =
   let tr = Trace.create ~columns:[ "a"; "b" ] () in
   Trace.add tr [| 1.; 2. |];
-  check_bool "csv" true (Trace.to_csv tr = "a,b\n1,2\n")
+  check_bool "csv" true (Trace.to_csv tr = "a,b\n1,2\n");
+  (* Every cell must be formatted exactly as [Printf.sprintf "%.6g"]:
+     seeded random bit patterns (subnormals and NaN payloads included),
+     seeded values across magnitudes, and the special values. *)
+  let g = Random.State.make [| 20 |] in
+  let specials =
+    [|
+      nan; Float.neg nan; infinity; neg_infinity; 0.; -0.; Float.min_float;
+      5e-324; -5e-324; 2.2e-310; 1e300; -1e300; 1e-300; -1e-300;
+      Float.max_float; 999999.5; 1e-5; 0.0001; 123456.5; -0.1;
+    |]
+  in
+  let random _ =
+    if Random.State.bool g then Int64.float_of_bits (Random.State.bits64 g)
+    else
+      Random.State.float g 2. -. 1.
+      *. (10. ** float_of_int (Random.State.int g 80 - 40))
+  in
+  let cells = Array.append specials (Array.init 3000 random) in
+  let tr = Trace.create ~columns:[ "x"; "y"; "z" ] () in
+  let reference = Buffer.create 4096 in
+  Buffer.add_string reference "x,y,z\n";
+  for r = 0 to (Array.length cells / 3) - 1 do
+    let row = Array.sub cells (3 * r) 3 in
+    Trace.add tr row;
+    let cells = Array.to_list (Array.map (Printf.sprintf "%.6g") row) in
+    Buffer.add_string reference (String.concat "," cells);
+    Buffer.add_char reference '\n'
+  done;
+  let reference = Buffer.contents reference in
+  check_bool "csv = Printf %.6g reference" true (Trace.to_csv tr = reference);
+  Alcotest.(check string)
+    "digest = MD5 of to_csv"
+    (Digest.to_hex (Digest.string reference))
+    (Trace.digest tr)
 
 let test_trace_growth () =
   (* Well past the 256-row initial capacity, across several doublings:

@@ -1903,6 +1903,61 @@ let test_supervisor_adopt_mapping () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoints                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A checkpoint from another manager kind, ablation variant or platform
+   is rejected with both tags named, before anything is written: the
+   target then runs a scenario exactly like an untouched twin.  The
+   source checkpoint is taken mid-run, so a partial restore would show
+   in the target's trace. *)
+let test_checkpoint_rejects_foreign () =
+  let pixel = Platform_desc.pixel8pro in
+  let spectr ?gain_scheduling ?guarded platform () =
+    let guards =
+      Option.map
+        (fun () ->
+          Guarded.create ~clusters:(Platform_desc.num_clusters platform) ())
+        guarded
+    in
+    fst (Spectr_manager.make ?gain_scheduling ?guards ~platform ())
+  in
+  let persist m = Option.get m.Manager.persist in
+  List.iter
+    (fun (source, target, platform) ->
+      let src = source () in
+      let r = Scenario.start (Scenario.default_config Benchmarks.x264) in
+      for _ = 1 to 120 do
+        ignore (Scenario.tick r ~manager:src : Soc.observation option)
+      done;
+      let c = (persist src).Manager.snapshot () in
+      let dst = target () and twin = target () in
+      let dst_tag = ((persist twin).Manager.snapshot ()).Manager.variant in
+      let quoted tag = "\"" ^ tag ^ "\"" in
+      (match (persist dst).Manager.restore c with
+      | () ->
+          Alcotest.failf "%s checkpoint restored into %s" c.Manager.variant
+            dst_tag
+      | exception Invalid_argument msg ->
+          check_bool
+            (Printf.sprintf "%S names both tags" msg)
+            true
+            (contains msg (quoted c.Manager.variant)
+            && contains msg (quoted dst_tag)));
+      let cfg = Scenario.default_config ~platform Benchmarks.x264 in
+      check_string
+        (c.Manager.variant ^ " -> " ^ dst_tag ^ ": target untouched")
+        (Trace.digest (Scenario.run ~manager:twin cfg))
+        (Trace.digest (Scenario.run ~manager:dst cfg)))
+    [
+      ((fun () -> Mm.make_pow ()), (fun () -> Mm.make_perf ()), exynos);
+      (spectr exynos, spectr ~guarded:() exynos, exynos);
+      (spectr ~gain_scheduling:false exynos, spectr exynos, exynos);
+      (spectr exynos, spectr pixel, pixel);
+      ((fun () -> Fs.make ()), (fun () -> Siso.make ()), exynos);
+    ]
+
 let () =
   Alcotest.run "spectr_core"
     [
@@ -2021,6 +2076,11 @@ let () =
           Alcotest.test_case "SISO baseline" `Slow test_siso_baseline;
           Alcotest.test_case "other benchmarks run" `Slow
             test_other_benchmarks_run;
+        ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "rejects foreign checkpoints" `Slow
+            test_checkpoint_rejects_foreign;
         ] );
       ( "guarded",
         [
